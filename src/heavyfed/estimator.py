@@ -128,27 +128,31 @@ def smoothed_truncate(a, b):
 
     Uses the closed form with correction term for moderate arguments and a
     clip-probability + quadrature evaluation where the closed form would
-    cancel catastrophically; the result is clipped to the truncation cap,
-    which the exact expectation never exceeds.
+    cancel catastrophically.  Every branch is evaluated at ``|a|`` and the
+    sign of ``a`` restored afterwards, so the curve is odd by construction;
+    the magnitude is clipped to ``[0, cap]``, where the exact expectation
+    lies for ``a >= 0``.
     """
     a = np.asarray(a, dtype=float)
     b = np.abs(np.asarray(b, dtype=float))
     scalar = a.ndim == 0 and b.ndim == 0
     a, b = np.broadcast_arrays(np.atleast_1d(a), np.atleast_1d(b))
+    r = np.abs(a)
 
     out = np.empty(a.shape, dtype=float)
-    tiny = _tiny_noise(a, b)
-    extreme = (np.abs(a) + b > _CLOSED_FORM_LIMIT) & ~tiny
+    tiny = _tiny_noise(r, b)
+    extreme = (r + b > _CLOSED_FORM_LIMIT) & ~tiny
     closed = ~tiny & ~extreme
 
     if np.any(tiny):
-        out[tiny] = soft_truncate(a[tiny])
+        out[tiny] = soft_truncate(r[tiny])
     if np.any(closed):
-        ac, bc = a[closed], b[closed]
-        out[closed] = ac * (1.0 - bc**2 / 2.0) - ac**3 / 6.0 + smoothing_correction(ac, bc)
+        rc, bc = r[closed], b[closed]
+        out[closed] = rc * (1.0 - bc**2 / 2.0) - rc**3 / 6.0 + smoothing_correction(rc, bc)
     if np.any(extreme):
-        out[extreme] = _smoothed_by_quadrature(a[extreme], b[extreme])
-    np.clip(out, -TRUNCATION_CAP, TRUNCATION_CAP, out=out)
+        out[extreme] = _smoothed_by_quadrature(r[extreme], b[extreme])
+    np.clip(out, 0.0, TRUNCATION_CAP, out=out)
+    np.copysign(out, a, out=out)
     return float(out[0]) if scalar else out
 
 

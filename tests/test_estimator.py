@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heavyfed import (
@@ -97,6 +97,7 @@ class TestSmoothedTruncate:
 
     @given(finite_floats, st.floats(min_value=-100.0, max_value=100.0, allow_nan=False))
     @settings(max_examples=300)
+    @example(a=54.401733337612995, b=54.40625)
     def test_odd_in_first_argument(self, a, b):
         assert abs(smoothed_truncate(-a, b) + smoothed_truncate(a, b)) <= 1e-12
 
