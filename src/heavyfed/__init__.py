@@ -14,7 +14,6 @@ from .aggregation import (
     coord_trimmed_mean,
     geometric_median,
     krum,
-    krum_index,
     mean,
     norm_trimmed_mean,
 )

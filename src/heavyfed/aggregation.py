@@ -133,15 +133,12 @@ def _krum_scores(U, f, min_neighbours=0):
     # Sum of squared distances to the m - f - 2 nearest peers.  Small pools
     # inside bulyan keep at least min_neighbours so the scores stay
     # distance-based (an all-zero score vector would make the pick depend on
-    # input order).
+    # input order).  sq[i, i] = 0 is the minimum of row i, so after a row
+    # sort the peers start at column 1.
     m = U.shape[0]
     sq = np.sum((U[:, None, :] - U[None, :, :]) ** 2, axis=2)
     keep = min(max(m - f - 2, min_neighbours), m - 1)
-    scores = np.empty(m)
-    for i in range(m):
-        others = np.sort(np.delete(sq[i], i))
-        scores[i] = others[:keep].sum()
-    return scores
+    return np.sort(sq, axis=1)[:, 1 : keep + 1].sum(axis=1)
 
 
 def krum(vectors, f: int = 0) -> np.ndarray:
@@ -152,14 +149,6 @@ def krum(vectors, f: int = 0) -> np.ndarray:
     if U.shape[0] < f + 3:
         raise TooFewVectors(f"krum needs at least f + 3 = {f + 3} vectors, got {U.shape[0]}")
     return U[int(np.argmin(_krum_scores(U, f)))].copy()
-
-
-def krum_index(vectors, f: int = 0) -> int:
-    """Index of the vector krum selects (ties to the lowest index)."""
-    U = _as_matrix(vectors)
-    if U.shape[0] < f + 3:
-        raise TooFewVectors(f"krum needs at least f + 3 = {f + 3} vectors, got {U.shape[0]}")
-    return int(np.argmin(_krum_scores(U, f)))
 
 
 def bulyan(vectors, f: int = 0) -> np.ndarray:
