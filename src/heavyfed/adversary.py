@@ -70,28 +70,29 @@ def select_byzantine(m: int, alpha: float, dynamic: bool, round_index: int, seed
     return frozenset(int(i) for i in rng.choice(m, size=count, replace=False))
 
 
-def corrupt(attack: AttackSpec, honest_uploads, byz_set, rng) -> list:
-    """Replace the uploads of ``byz_set``; everything else passes through.
+def corrupt(attack: AttackSpec, honest_uploads, byz_set, rng) -> np.ndarray:
+    """Replace the rows of ``byz_set``; every other row passes through.
 
-    ``honest_uploads`` must hold the would-be honest message of every device
-    (the adversary sees them all).  Statistics of the good uploads are taken
-    over devices outside ``byz_set`` only.
+    ``honest_uploads`` is the ``(m, d)`` array (or a list of m vectors) of
+    every device's would-be honest message: the adversary sees them all.
+    Statistics of the good uploads are taken over rows outside ``byz_set``
+    only.  Gaussian noise is drawn row by row in ascending device order.
     """
-    uploads = [np.asarray(u, dtype=float) for u in honest_uploads]
+    uploads = np.asarray(honest_uploads, dtype=float)
     if attack.kind == "none" or not byz_set:
         return uploads
-    good = np.asarray([u for i, u in enumerate(uploads) if i not in byz_set])
+    byz = sorted(byz_set)
+    good = np.delete(uploads, byz, axis=0)
     if good.shape[0] == 0:
         raise InvalidConfig("corrupt needs at least one good device")
     good_mean = good.mean(axis=0)
-    out = list(uploads)
-    for i in sorted(byz_set):
-        if attack.kind == "sign_flip":
-            out[i] = -attack.strength * good_mean
-        elif attack.kind == "large_value":
-            out[i] = np.full(good_mean.shape, attack.strength)
-        elif attack.kind == "gaussian_noise":
-            out[i] = uploads[i] + rng.normal(0.0, attack.strength, size=good_mean.shape)
-        else:  # mean_shift: hide just outside the good cluster
-            out[i] = good_mean + attack.strength * good.std(axis=0)
+    out = uploads.copy()
+    if attack.kind == "sign_flip":
+        out[byz] = -attack.strength * good_mean
+    elif attack.kind == "large_value":
+        out[byz] = attack.strength
+    elif attack.kind == "gaussian_noise":
+        out[byz] += rng.normal(0.0, attack.strength, size=(len(byz), uploads.shape[1]))
+    else:  # mean_shift: hide just outside the good cluster
+        out[byz] = good_mean + attack.strength * good.std(axis=0)
     return out

@@ -1,21 +1,31 @@
-"""Synchronous server/device simulation loops with projection and metrics.
+"""One synchronous round pipeline, its three algorithm presets, projection and metrics.
 
-Each round broadcasts the current parameter vector, lets every device
-compute its upload from its own shard, applies the adversary to the
-Byzantine subset, aggregates at the server, and takes a projected descent
-step.  Device computations are pure functions of (round state, shard,
-derived seed); the loop evaluates them sequentially, so identical configs
-and seeds reproduce bit-identical metric streams.
+Every round runs the same stages on one ``(m, d)`` array of device uploads:
+local estimate -> codec -> Byzantine corruption of the decoded wire array ->
+robust aggregation -> projected descent step.  An algorithm only chooses what
+fills the stages (``_stages``):
+
+- ``robust``: robust local estimates, dense uploads, coordinate-wise trimmed mean;
+- ``robust_compressed``: robust local estimates, the configured compressor,
+  norm-based trimmed mean;
+- ``baseline``: plain shard means (kept as a running average for mkrum),
+  dense uploads, the configured aggregation rule.
+
+Device computations are pure functions of (round state, shard, derived
+seed); the loop evaluates them sequentially, so identical configs and seeds
+reproduce bit-identical metric streams.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import adversary, aggregation, compression
+from .aggregation import AggregatorSpec
+from .compression import CompressorSpec
 from .config import ExperimentConfig
 from .datagen import (
     CsvSchema,
@@ -96,7 +106,10 @@ def _round_rng(seed, t):
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(t, 1)))
 
 
-def _message_rng(seed, t, device, stage):
+def _message_rng(codec, seed, t, device, stage):
+    # only random sparsification draws from its rng; other codecs ignore it
+    if codec.kind != "randk":
+        return None
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(t, device, stage)))
 
 
@@ -149,11 +162,63 @@ def _initial_point(config, rep, d, space):
     return space.center + space.radius * rng.random() ** (1.0 / d) * direction
 
 
-def _run(config: ExperimentConfig, rep: int, mode: str, aggregator=None):
+def _stages(config: ExperimentConfig, algorithm: str):
+    """What each algorithm plugs into the round pipeline.
+
+    Returns the estimator schedule variant of the local stage (``None``:
+    plain shard means), the codec and the server's aggregation rule.
+    """
+    beta = config.aggregator.beta
+    if algorithm == "robust":
+        return "plain", CompressorSpec(), AggregatorSpec("coord_trimmed", beta=beta)
+    if algorithm == "robust_compressed":
+        return "compressed", config.compressor, AggregatorSpec("norm_trimmed", beta=beta)
+    return None, CompressorSpec(), config.aggregator
+
+
+def _local_stage(model, shards, est, rule):
+    """Device side of a round: parameters -> ``(m, d)`` array of uploads."""
+    if est is not None:
+        return lambda w: np.array([robust_gradient(model, w, shard, est) for shard in shards])
+
+    def shard_means(w):
+        return np.array([per_sample_gradients(model, w, shard).mean(axis=0) for shard in shards])
+
+    if rule.kind != "mkrum":
+        return shard_means
+    # mkrum devices upload a running average of their shard means
+    buffer = np.zeros((len(shards), model.dim))
+
+    def with_momentum(w):
+        nonlocal buffer
+        buffer = rule.momentum * buffer + (1.0 - rule.momentum) * shard_means(w)
+        return buffer
+
+    return with_momentum
+
+
+def _uplink(codec, uploads, attack, byz, adv_rng, seed, t):
+    """Codec and adversary stages: the ``(m, d)`` vectors the server decodes, and the bytes sent."""
+    if codec.kind == "identity":
+        # dense uploads travel as they are, 8 bytes per coordinate
+        return adversary.corrupt(attack, uploads, byz, adv_rng), 8 * uploads.size
+    msgs = [
+        compression.compress(codec, u, rng=_message_rng(codec, seed, t, i, 0)) for i, u in enumerate(uploads)
+    ]
+    wire = np.array([compression.decompress(msg) for msg in msgs])
+    vectors = adversary.corrupt(attack, wire, byz, adv_rng)
+    # Byzantine devices choose their own wire message; it is emitted in the
+    # run's message format so byte accounting stays uniform.
+    for i in byz:
+        msgs[i] = compression.compress(codec, vectors[i], rng=_message_rng(codec, seed, t, i, 1))
+        vectors[i] = compression.decompress(msgs[i])
+    return vectors, sum(compression.nominal_bytes(msg) for msg in msgs)
+
+
+def _run(config: ExperimentConfig, rep: int, algorithm: str) -> list[RoundMetrics]:
     train, test, w_star, model = build_data(config, rep)
     m = config.devices
     shards = partition(train, m, seed=stream_seed(config, rep, "partition"))
-    n = len(shards[0])
     d = model.dim
 
     smooth = config.smoothness if config.smoothness is not None else estimate_smoothness(model, train)
@@ -161,14 +226,11 @@ def _run(config: ExperimentConfig, rep: int, mode: str, aggregator=None):
     space = ParamSpace(np.zeros(d), config.space_radius)
     w = _initial_point(config, rep, d, space)
 
-    est = None
-    if mode in ("robust", "compressed"):
-        variant = "compressed" if mode == "compressed" else "plain"
-        est = config.estimator_params(n=n, m=m, d=d, variant=variant)
-    agg_spec = aggregator if aggregator is not None else config.aggregator
+    variant, codec, rule = _stages(config, algorithm)
+    est = None if variant is None else config.estimator_params(n=len(shards[0]), m=m, d=d, variant=variant)
+    local = _local_stage(model, shards, est, rule)
     adv_seed = stream_seed(config, rep, "adversary")
     comp_seed = stream_seed(config, rep, "compressor")
-    buffers = None
 
     def snapshot(t, bytes_up, grad_norm, w_now):
         err = float(np.linalg.norm(w_now - w_star)) if w_star is not None else None
@@ -176,44 +238,10 @@ def _run(config: ExperimentConfig, rep: int, mode: str, aggregator=None):
 
     metrics = [snapshot(0, 0, 0.0, w)]
     for t in range(config.rounds):
-        if mode == "baseline":
-            uploads = [per_sample_gradients(model, w, shard).mean(axis=0) for shard in shards]
-            if agg_spec.kind == "mkrum":
-                if buffers is None:
-                    buffers = [np.zeros(d) for _ in range(m)]
-                uploads = [
-                    agg_spec.momentum * buf + (1.0 - agg_spec.momentum) * g
-                    for buf, g in zip(buffers, uploads)
-                ]
-                buffers = uploads
-        else:
-            uploads = [robust_gradient(model, w, shard, est) for shard in shards]
-
+        uploads = local(w)
         byz = adversary.select_byzantine(m, config.attack.alpha, config.attack.dynamic, t, adv_seed)
-        if mode == "compressed":
-            msgs = [
-                compression.compress(config.compressor, u, rng=_message_rng(comp_seed, t, i, 0))
-                for i, u in enumerate(uploads)
-            ]
-            wire = [compression.decompress(msg) for msg in msgs]
-            corrupted = adversary.corrupt(config.attack, wire, byz, _round_rng(adv_seed, t))
-            # Byzantine devices choose their own wire message; it is emitted
-            # in the run's message format so byte accounting stays uniform.
-            for i in byz:
-                msgs[i] = compression.compress(
-                    config.compressor, corrupted[i], rng=_message_rng(comp_seed, t, i, 1)
-                )
-            vectors = [compression.decompress(msg) for msg in msgs]
-            agg_vec = aggregation.norm_trimmed_mean(vectors, config.beta)
-            bytes_up = sum(compression.nominal_bytes(msg) for msg in msgs)
-        else:
-            vectors = adversary.corrupt(config.attack, uploads, byz, _round_rng(adv_seed, t))
-            if mode == "robust":
-                agg_vec = aggregation.coord_trimmed_mean(vectors, config.beta)
-            else:
-                agg_vec = aggregation.aggregate(agg_spec, vectors)
-            bytes_up = 8 * d * m
-
+        vectors, bytes_up = _uplink(codec, uploads, config.attack, byz, _round_rng(adv_seed, t), comp_seed, t)
+        agg_vec = aggregation.aggregate(rule, vectors)
         w_next = project(w - eta * agg_vec, space)
         if not np.all(np.isfinite(w_next)):
             raise NonFiniteState(t)
@@ -229,18 +257,14 @@ def run_robust_gd(config: ExperimentConfig, rep: int = 0) -> list[RoundMetrics]:
 
 def run_compressed_gd(config: ExperimentConfig, rep: int = 0) -> list[RoundMetrics]:
     """Robust local estimates, compressed uploads, norm-based trimmed mean."""
-    return _run(config, rep, "compressed")
+    return _run(config, rep, "robust_compressed")
 
 
-def run_baseline(config: ExperimentConfig, aggregator=None, rep: int = 0) -> list[RoundMetrics]:
-    """Plain local mean gradients under a configurable aggregation rule."""
-    return _run(config, rep, "baseline", aggregator=aggregator)
+def run_baseline(config: ExperimentConfig, rep: int = 0) -> list[RoundMetrics]:
+    """Plain local mean gradients under the configured aggregation rule."""
+    return _run(config, rep, "baseline")
 
 
 def run(config: ExperimentConfig, rep: int = 0) -> list[RoundMetrics]:
-    """Dispatch on ``config.algorithm``."""
-    if config.algorithm == "robust":
-        return run_robust_gd(config, rep)
-    if config.algorithm == "robust_compressed":
-        return run_compressed_gd(config, rep)
-    return run_baseline(config, rep=rep)
+    """Run the pipeline ``config.algorithm`` names."""
+    return _run(config, rep, config.algorithm)
