@@ -24,7 +24,6 @@ from .compression import (
     decompress,
     effective_delta,
     nominal_bytes,
-    payload_bytes,
 )
 from .config import ExperimentConfig, apply_axis, config_digest, echo_config, make_config, parse_config
 from .datagen import (

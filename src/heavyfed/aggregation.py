@@ -26,7 +26,7 @@ class AggregatorSpec:
     """Aggregation rule plus its parameters.
 
     ``mkrum`` selects like plain krum; the per-device momentum that feeds it
-    lives in the simulation loop.
+    is part of the engine's baseline local stage.
     """
 
     kind: str = "mean"

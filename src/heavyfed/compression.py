@@ -123,12 +123,3 @@ def nominal_bytes(msg: CompressedMessage) -> int:
     if msg.kind in ("topk", "randk"):
         return 12 * len(msg.values)
     return 8 + math.ceil(msg.dim / 8)
-
-
-def payload_bytes(msg: CompressedMessage) -> int:
-    """Bytes of the numeric gradient payload alone, excluding index overhead."""
-    if msg.kind == "identity":
-        return 8 * msg.dim
-    if msg.kind in ("topk", "randk"):
-        return 8 * len(msg.values)
-    return 8 + math.ceil(msg.dim / 8)

@@ -13,12 +13,13 @@ import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .adversary import AttackSpec, byzantine_count, default_strength
-from .aggregation import AggregatorSpec, trim_count
-from .compression import CompressorSpec
-from .datagen import NoiseSpec
+from .adversary import ATTACK_KINDS, AttackSpec, byzantine_count, default_strength
+from .aggregation import AGGREGATOR_KINDS, AggregatorSpec, trim_count
+from .compression import COMPRESSOR_KINDS, CompressorSpec
+from .datagen import NOISE_KINDS, NoiseSpec
 from .errors import ConfigError, InvalidConfig
 from .estimator import EstimatorParams, default_params
+from .losses import MLP_OBJECTIVES, MODEL_KINDS
 
 ALGORITHMS = ("robust", "robust_compressed", "baseline")
 
@@ -169,7 +170,6 @@ class ExperimentConfig:
     csv_features: tuple | None
     csv_standardize: bool
     csv_add_bias: bool
-    beta: float
     rounds: int
     eta: float | None
     smoothness: float | None
@@ -249,9 +249,9 @@ def _build(raw: dict) -> ExperimentConfig:
     w0 = _parse_enum("experiment.w0", get("experiment.w0"), ("origin", "random"))
     out_dir = get("experiment.out_dir")
 
-    model_kind = _parse_enum("model.kind", get("model.kind"), ("linear", "logistic", "mlp"))
+    model_kind = _parse_enum("model.kind", get("model.kind"), MODEL_KINDS)
     mlp_hidden = _parse_int("model.hidden", get("model.hidden"), minimum=1)
-    mlp_objective = _parse_enum("model.objective", get("model.objective"), ("squared", "logistic"))
+    mlp_objective = _parse_enum("model.objective", get("model.objective"), MLP_OBJECTIVES)
 
     source = _parse_enum("data.source", get("data.source"), ("synthetic", "csv"))
     dimension = _parse_int("data.d", get("data.d"), minimum=1)
@@ -260,7 +260,7 @@ def _build(raw: dict) -> ExperimentConfig:
     test_samples = _parse_int("data.test_samples", get("data.test_samples"), minimum=1)
     feature_sigma = _parse_auto_float("data.feature_sigma", get("data.feature_sigma"))
 
-    noise_kind = _parse_enum("data.noise", get("data.noise"), ("lognormal", "pareto"))
+    noise_kind = _parse_enum("data.noise", get("data.noise"), NOISE_KINDS)
     try:
         noise = NoiseSpec(
             kind=noise_kind,
@@ -289,9 +289,7 @@ def _build(raw: dict) -> ExperimentConfig:
     if model_kind == "mlp" and eta is None and smoothness is None:
         _fail("experiment.eta", "mlp runs need eta or smoothness set explicitly")
 
-    attack_kind = _parse_enum(
-        "attack.kind", get("attack.kind"), ("none", "sign_flip", "large_value", "gaussian_noise", "mean_shift")
-    )
+    attack_kind = _parse_enum("attack.kind", get("attack.kind"), ATTACK_KINDS)
     alpha = _parse_float("attack.alpha", get("attack.alpha"))
     if not 0.0 <= alpha < 0.5:
         _fail("attack.alpha", f"alpha must be < 0.5 and >= 0 (got {alpha})")
@@ -305,11 +303,7 @@ def _build(raw: dict) -> ExperimentConfig:
     except InvalidConfig as exc:
         _fail("attack", str(exc))
 
-    agg_kind = _parse_enum(
-        "aggregator.kind",
-        get("aggregator.kind"),
-        ("mean", "coord_trimmed", "norm_trimmed", "coord_median", "geo_median", "krum", "bulyan", "mkrum"),
-    )
+    agg_kind = _parse_enum("aggregator.kind", get("aggregator.kind"), AGGREGATOR_KINDS)
     momentum = _parse_float("aggregator.momentum", get("aggregator.momentum"))
     tol = _parse_float("aggregator.tol", get("aggregator.tol"), positive=True)
     max_iter = _parse_int("aggregator.max_iter", get("aggregator.max_iter"), minimum=1)
@@ -345,7 +339,7 @@ def _build(raw: dict) -> ExperimentConfig:
     except InvalidConfig as exc:
         _fail("aggregator", str(exc))
 
-    comp_kind = _parse_enum("compressor.kind", get("compressor.kind"), ("identity", "topk", "randk", "l1"))
+    comp_kind = _parse_enum("compressor.kind", get("compressor.kind"), COMPRESSOR_KINDS)
     raw_k = get("compressor.k")
     if raw_k == "auto":
         if comp_kind == "topk" and source == "csv":
@@ -393,7 +387,6 @@ def _build(raw: dict) -> ExperimentConfig:
         csv_features=csv_features,
         csv_standardize=csv_standardize,
         csv_add_bias=csv_add_bias,
-        beta=beta,
         rounds=rounds,
         eta=eta,
         smoothness=smoothness,
@@ -462,7 +455,7 @@ def parse_config(path) -> ExperimentConfig:
 def echo_config(config: ExperimentConfig) -> str:
     """Normalized listing of every key with resolved values."""
     resolved = dict(config.raw)
-    resolved["aggregator.beta"] = repr(config.beta)
+    resolved["aggregator.beta"] = repr(config.aggregator.beta)
     resolved["aggregator.f"] = str(config.aggregator.f)
     resolved["attack.strength"] = repr(config.attack.strength)
     resolved["estimator.v"] = repr(config.v)

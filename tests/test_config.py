@@ -28,7 +28,7 @@ class TestDefaults:
         assert cfg.attack.kind == "sign_flip"
         assert cfg.attack.alpha == 0.0
         assert cfg.attack.strength == 5.0  # auto resolves to the kind default
-        assert cfg.beta == pytest.approx(0.05)  # alpha + 0.05
+        assert cfg.aggregator.beta == pytest.approx(0.05)  # alpha + 0.05
         assert cfg.v == pytest.approx(0.5, abs=2e-4)  # noise variance of the default generator
         assert cfg.space_radius == 10.0
         assert cfg.diameter == 10.0
@@ -44,7 +44,7 @@ class TestDefaults:
     def test_minimal_section_only(self, tmp_path):
         cfg = parse_config(write(tmp_path, "[attack]\nalpha = 0.2\n"))
         assert cfg.attack.alpha == 0.2
-        assert cfg.beta == pytest.approx(0.25)
+        assert cfg.aggregator.beta == pytest.approx(0.25)
 
 
 class TestValidation:
@@ -100,8 +100,8 @@ class TestValidation:
 
         cfg = make_config({"data.devices": 4, "attack.alpha": 0.25})
         # ceil(beta * 4) must leave at least one vector after two-sided trim
-        assert cfg.beta >= 0.25
-        assert 4 - 2 * trim_count(cfg.beta, 4) >= 1
+        assert cfg.aggregator.beta >= 0.25
+        assert 4 - 2 * trim_count(cfg.aggregator.beta, 4) >= 1
 
     def test_bulyan_f_auto_clamped(self):
         cfg = make_config({
@@ -152,12 +152,12 @@ class TestApplyAxis:
         cfg = make_config({"attack.alpha": 0.1})
         out = apply_axis(cfg, "alpha", 0.3)
         assert out.attack.alpha == 0.3
-        assert out.beta == pytest.approx(0.35)  # auto rule re-resolves
+        assert out.aggregator.beta == pytest.approx(0.35)  # auto rule re-resolves
 
     def test_alpha_axis_with_fixed_beta(self):
         cfg = make_config({"aggregator.beta": 0.35})
         out = apply_axis(cfg, "alpha", 0.3)
-        assert out.beta == 0.35
+        assert out.aggregator.beta == 0.35
 
     def test_n_axis(self):
         cfg = make_config({})
