@@ -1,19 +1,13 @@
-"""One synchronous round pipeline, its three algorithm presets, projection and metrics.
+"""One synchronous round pipeline, its algorithm presets, projection and metrics.
 
 Every round runs the same stages on one ``(m, d)`` array of device uploads:
 local estimate -> codec -> Byzantine corruption of the decoded wire array ->
-robust aggregation -> projected descent step.  An algorithm only chooses what
-fills the stages (``_stages``):
-
-- ``robust``: robust local estimates, dense uploads, coordinate-wise trimmed mean;
-- ``robust_compressed``: robust local estimates, the configured compressor,
-  norm-based trimmed mean;
-- ``baseline``: plain shard means (kept as a running average for mkrum),
-  dense uploads, the configured aggregation rule.
-
-Device computations are pure functions of (round state, shard, derived
-seed); the loop evaluates them sequentially, so identical configs and seeds
-reproduce bit-identical metric streams.
+robust aggregation -> projected descent step.  An algorithm only chooses
+what fills the stages; ``_stages`` holds that choice for ``robust``,
+``robust_compressed`` and ``baseline``.  Device computations are pure
+functions of (round state, shard, derived seed); the loop evaluates them
+sequentially, so identical configs and seeds reproduce bit-identical metric
+streams.
 """
 
 from __future__ import annotations
@@ -163,11 +157,9 @@ def _initial_point(config, rep, d, space):
 
 
 def _stages(config: ExperimentConfig, algorithm: str):
-    """What each algorithm plugs into the round pipeline.
-
-    Returns the estimator schedule variant of the local stage (``None``:
-    plain shard means), the codec and the server's aggregation rule.
-    """
+    """What the algorithm plugs into the pipeline: the estimator schedule
+    variant of the local stage (``None``: plain shard means), the codec and
+    the server's aggregation rule."""
     beta = config.aggregator.beta
     if algorithm == "robust":
         return "plain", CompressorSpec(), AggregatorSpec("coord_trimmed", beta=beta)

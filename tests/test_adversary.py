@@ -118,6 +118,24 @@ class TestCorrupt:
         assert np.array_equal(a[2], b[2])
         assert not np.array_equal(a[2], ups[2])
 
+    def test_gaussian_noise_drawn_in_ascending_device_order(self):
+        ups = np.array(uploads(m=6))
+        spec = AttackSpec(kind="gaussian_noise", strength=0.5, alpha=0.3)
+        out = corrupt(spec, ups, frozenset({4, 1}), np.random.default_rng(3))
+        rng = np.random.default_rng(3)
+        for i in (1, 4):
+            assert np.array_equal(out[i], ups[i] + rng.normal(0.0, 0.5, size=3))
+
+    @pytest.mark.parametrize("kind", ["sign_flip", "large_value", "gaussian_noise", "mean_shift"])
+    def test_array_and_list_inputs_agree(self, kind):
+        ups = uploads(m=6)
+        spec = AttackSpec(kind=kind, strength=2.0, alpha=0.3)
+        a = corrupt(spec, np.array(ups), frozenset({1, 4}), np.random.default_rng(5))
+        b = corrupt(spec, ups, frozenset({1, 4}), np.random.default_rng(5))
+        assert isinstance(a, np.ndarray) and a.shape == (6, 3)
+        assert np.array_equal(a, b)
+        assert np.array_equal(np.delete(a, [1, 4], axis=0), np.delete(np.array(ups), [1, 4], axis=0))
+
 
 class TestAttackSpec:
     def test_alpha_bound(self):
