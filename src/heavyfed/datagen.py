@@ -149,16 +149,20 @@ def gen_logistic(spec: SyntheticSpec, seed) -> tuple[Dataset, Dataset]:
     return out[0], out[1]
 
 
-def partition(data: Dataset, m: int, seed=0) -> list[Dataset]:
-    """Even split into m shards after a seeded shuffle."""
+def partition(data: Dataset, m: int, seed=0) -> Dataset:
+    """Even split into m shards after a seeded shuffle.
+
+    Returns the shards stacked: features ``(m, n/m, p)`` and labels
+    ``(m, n/m)``, shard i holding shuffled samples ``i*n/m`` to ``(i+1)*n/m``.
+    """
     if m < 1:
         raise InvalidConfig(f"device count must be >= 1, got {m}")
     n = len(data)
     if n % m != 0:
         raise IndivisibleSplit(f"{n} samples cannot be split evenly across {m} devices")
     perm = np.random.default_rng(np.random.SeedSequence(entropy=seed)).permutation(n)
-    size = n // m
-    return [data.take(perm[i * size : (i + 1) * size]) for i in range(m)]
+    shuffled = data.take(perm)
+    return Dataset(shuffled.features.reshape(m, n // m, -1), shuffled.labels.reshape(m, n // m))
 
 
 def split_train_test(data: Dataset, n_test: int, seed=0) -> tuple[Dataset, Dataset]:

@@ -4,10 +4,10 @@ Every round runs the same stages on one ``(m, d)`` array of device uploads:
 local estimate -> codec -> Byzantine corruption of the decoded wire array ->
 robust aggregation -> projected descent step.  An algorithm only chooses
 what fills the stages; ``_stages`` holds that choice for ``robust``,
-``robust_compressed`` and ``baseline``.  Device computations are pure
-functions of (round state, shard, derived seed); the loop evaluates them
-sequentially, so identical configs and seeds reproduce bit-identical metric
-streams.
+``robust_compressed`` and ``baseline``.  The local stage evaluates every
+device in one batched call over the stacked ``(m, n, p)`` shards; device
+computations are pure functions of (round state, shard, derived seed), so
+identical configs and seeds reproduce bit-identical metric streams.
 """
 
 from __future__ import annotations
@@ -169,17 +169,18 @@ def _stages(config: ExperimentConfig, algorithm: str):
 
 
 def _local_stage(model, shards, est, rule):
-    """Device side of a round: parameters -> ``(m, d)`` array of uploads."""
+    """Device side of a round: parameters -> ``(m, d)`` array of uploads,
+    one batched call over the stacked ``(m, n, p)`` shards."""
     if est is not None:
-        return lambda w: np.array([robust_gradient(model, w, shard, est) for shard in shards])
+        return lambda w: robust_gradient(model, w, shards, est)
 
     def shard_means(w):
-        return np.array([per_sample_gradients(model, w, shard).mean(axis=0) for shard in shards])
+        return per_sample_gradients(model, w, shards).mean(axis=-2)
 
     if rule.kind != "mkrum":
         return shard_means
     # mkrum devices upload a running average of their shard means
-    buffer = np.zeros((len(shards), model.dim))
+    buffer = np.zeros((shards.labels.shape[0], model.dim))
 
     def with_momentum(w):
         nonlocal buffer
@@ -219,7 +220,7 @@ def _run(config: ExperimentConfig, rep: int, algorithm: str) -> list[RoundMetric
     w = _initial_point(config, rep, d, space)
 
     variant, codec, rule = _stages(config, algorithm)
-    est = None if variant is None else config.estimator_params(n=len(shards[0]), m=m, d=d, variant=variant)
+    est = None if variant is None else config.estimator_params(n=len(shards), m=m, d=d, variant=variant)
     local = _local_stage(model, shards, est, rule)
     adv_seed = stream_seed(config, rep, "adversary")
     comp_seed = stream_seed(config, rep, "compressor")

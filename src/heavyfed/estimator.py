@@ -262,12 +262,13 @@ def robust_gradient(model, w, data, params: EstimatorParams) -> np.ndarray:
     """Coordinate-wise robust mean of the per-sample loss gradients.
 
     Every coordinate of the returned vector is the scalar estimator applied
-    to that coordinate of the per-sample gradients over ``data``.
+    to that coordinate of the per-sample gradients over ``data``.  Stacked
+    shards ``(m, n, p)`` give one row per shard, ``(m, dim)``.
     """
     if len(data) == 0:
         raise EmptyInput("robust_gradient needs a non-empty dataset")
     grads = per_sample_gradients(model, w, data)
-    return params.s * _smoothed_values(grads, params).mean(axis=0)
+    return params.s * _smoothed_values(grads, params).mean(axis=-2)
 
 
 def continuity_constant(tau: float) -> float:

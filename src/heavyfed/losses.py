@@ -52,7 +52,13 @@ class LossModel:
 
 @dataclass
 class Dataset:
-    """Feature matrix plus labels; rows are samples."""
+    """Features ``(..., n, p)`` plus labels ``(..., n)``; the sample axis is -2
+    of the features and -1 of the labels.
+
+    A plain dataset is ``(n, p)`` / ``(n,)``.  Leading axes stack equal-sized
+    shards, e.g. ``(m, n, p)`` / ``(m, n)`` for m devices; only the trailing
+    axes are validated and ``len`` counts the samples of one shard.
+    """
 
     features: np.ndarray
     labels: np.ndarray
@@ -60,11 +66,10 @@ class Dataset:
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=float)
         self.labels = np.asarray(self.labels, dtype=float)
-        if self.features.ndim != 2 or self.labels.ndim != 1:
-            raise DimensionMismatch("features must be (n, p) and labels (n,)")
-        if self.features.shape[0] != self.labels.shape[0]:
+        if self.features.ndim < 2 or self.features.shape[:-1] != self.labels.shape:
             raise DimensionMismatch(
-                f"{self.features.shape[0]} feature rows vs {self.labels.shape[0]} labels"
+                f"features must be (..., n, p) and labels (..., n), got {self.features.shape} "
+                f"and {self.labels.shape}"
             )
         if self.features.size and not (
             np.all(np.isfinite(self.features)) and np.all(np.isfinite(self.labels))
@@ -72,7 +77,7 @@ class Dataset:
             raise ValueError("dataset entries must be finite")
 
     def __len__(self) -> int:
-        return self.labels.shape[0]
+        return self.labels.shape[-1]
 
     def take(self, indices) -> "Dataset":
         return Dataset(self.features[indices], self.labels[indices])
@@ -91,9 +96,9 @@ def _check(model, w, data):
     w = np.asarray(w, dtype=float)
     if w.shape != (model.dim,):
         raise DimensionMismatch(f"parameter vector has shape {w.shape}, model needs ({model.dim},)")
-    if data.features.shape[1] != model.features:
+    if data.features.shape[-1] != model.features:
         raise DimensionMismatch(
-            f"dataset has {data.features.shape[1]} features, model expects {model.features}"
+            f"dataset has {data.features.shape[-1]} features, model expects {model.features}"
         )
     return w
 
@@ -123,15 +128,16 @@ def per_sample_losses(model: LossModel, w, data: Dataset) -> np.ndarray:
 
 
 def per_sample_gradients(model: LossModel, w, data: Dataset) -> np.ndarray:
-    """Matrix of per-sample loss gradients, one row per sample."""
+    """Per-sample loss gradients, one row per sample: ``(..., n, dim)`` for
+    features ``(..., n, p)``."""
     if len(data) == 0:
         raise EmptyInput("per_sample_gradients needs a non-empty dataset")
     w = _check(model, w, data)
     X, y = data.features, data.labels
     if model.kind == "linear":
-        return (X @ w - y)[:, None] * X
+        return (X @ w - y)[..., None] * X
     if model.kind == "logistic":
-        return (-y * _sigmoid(-y * (X @ w)))[:, None] * X
+        return (-y * _sigmoid(-y * (X @ w)))[..., None] * X
     w1, b1, w2, b2 = _unpack_mlp(model, w)
     hid = np.tanh(X @ w1.T + b1)
     out = hid @ w2 + b2
@@ -139,10 +145,9 @@ def per_sample_gradients(model: LossModel, w, data: Dataset) -> np.ndarray:
         err = out - y
     else:
         err = -y * _sigmoid(-y * out)
-    back = err[:, None] * (w2 * (1.0 - hid**2))
-    n = X.shape[0]
-    g_w1 = (back[:, :, None] * X[:, None, :]).reshape(n, -1)
-    return np.concatenate([g_w1, back, err[:, None] * hid, err[:, None]], axis=1)
+    back = err[..., None] * (w2 * (1.0 - hid**2))
+    g_w1 = (back[..., :, None] * X[..., None, :]).reshape(*X.shape[:-1], -1)
+    return np.concatenate([g_w1, back, err[..., None] * hid, err[..., None]], axis=-1)
 
 
 def per_sample_gradient(model: LossModel, w, z) -> np.ndarray:

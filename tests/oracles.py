@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the closed forms under test: expectation
 integrals are estimated by Monte Carlo, concentration and continuity are
-measured on freshly drawn samples.
+measured on freshly drawn samples.  The stacked-shard data checks batched
+calls against per-shard ones.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import math
 
 import numpy as np
 
-from heavyfed import EstimatorParams, continuity_constant, robust_scalar_mean, soft_truncate
+from heavyfed import Dataset, EstimatorParams, LossModel, continuity_constant, robust_scalar_mean, soft_truncate
 
 GRID_A = (-3.0, -1.0, -0.5, 0.0, 0.5, 1.0, 3.0)
 GRID_B = (0.0, 0.1, 0.5, 1.0, 5.0)
@@ -56,3 +57,22 @@ def continuity_worst_ratio(pairs=1000, n=50, seed=11):
         ratio = abs(robust_scalar_mean(x, params) - robust_scalar_mean(y, params)) / denom
         worst = max(worst, ratio)
     return worst
+
+
+STACKED_MODELS = [
+    LossModel("linear", 4),
+    LossModel("logistic", 4),
+    LossModel("mlp", 4, hidden=3),
+    LossModel("mlp", 4, hidden=3, objective="logistic"),
+]
+
+
+def stacked_shards(model, m=3, n=20, seed=5):
+    """Heavy-tailed stacked shards ``(m, n, p)`` and a parameter vector."""
+    rng = np.random.default_rng(seed)
+    X = rng.lognormal(0.0, 1.5, size=(m, n, model.features))
+    if model.kind == "linear" or model.objective == "squared":
+        y = rng.standard_normal((m, n))
+    else:
+        y = rng.choice([-1.0, 1.0], size=(m, n))
+    return Dataset(X, y), rng.standard_normal(model.dim)

@@ -292,11 +292,9 @@ class TestCriterion10:
         # attack-free, trim-free: aggregated gradient == mean of device estimates
         train, test, w_star, model = build_data(cfg, 0)
         shards = partition(train, cfg.devices, seed=stream_seed(cfg, 0, "partition"))
-        params = cfg.estimator_params(n=len(shards[0]), m=cfg.devices, d=model.dim, variant="plain")
+        params = cfg.estimator_params(n=len(shards), m=cfg.devices, d=model.dim, variant="plain")
         w0 = np.zeros(model.dim)
-        expected = np.mean(
-            np.asarray([robust_gradient(model, w0, shard, params) for shard in shards]), axis=0
-        )
+        expected = np.mean(robust_gradient(model, w0, shards, params), axis=0)
         from heavyfed import run_robust_gd
 
         metrics = run_robust_gd(cfg)

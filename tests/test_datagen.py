@@ -163,23 +163,31 @@ class TestPartition:
 
     def test_even_split(self):
         shards = partition(self._data(), 10, seed=1)
-        assert len(shards) == 10
-        assert all(len(s) == 100 for s in shards)
+        assert shards.features.shape == (10, 100, 3)
+        assert shards.labels.shape == (10, 100)
+        assert len(shards) == 100
 
     def test_single_shard(self):
         data = self._data(n=50)
-        (shard,) = partition(data, 1, seed=2)
-        assert len(shard) == 50
+        shards = partition(data, 1, seed=2)
+        assert shards.features.shape == (1, 50, 3)
 
     def test_union_is_input_multiset(self):
         data = self._data(n=200)
         shards = partition(data, 4, seed=3)
-        stacked = np.concatenate([s.labels for s in shards])
-        assert np.array_equal(np.sort(stacked), np.sort(data.labels))
-        rows = np.concatenate([s.features for s in shards], axis=0)
+        assert np.array_equal(np.sort(shards.labels.ravel()), np.sort(data.labels))
+        rows = shards.features.reshape(-1, 3)
         assert np.array_equal(
             rows[np.lexsort(rows.T)], data.features[np.lexsort(data.features.T)]
         )
+
+    def test_shards_keep_sample_rows_together(self):
+        data = self._data(n=60)
+        shards = partition(data, 3, seed=4)
+        for features, labels in zip(shards.features, shards.labels):
+            for x, y in zip(features, labels):
+                (row,) = np.flatnonzero(data.labels == y)
+                assert np.array_equal(data.features[row], x)
 
     def test_indivisible(self):
         with pytest.raises(IndivisibleSplit):
@@ -189,7 +197,8 @@ class TestPartition:
         data = self._data(n=100)
         a = partition(data, 5, seed=7)
         b = partition(data, 5, seed=7)
-        assert all(np.array_equal(x.labels, y.labels) for x, y in zip(a, b))
+        assert np.array_equal(a.labels, b.labels)
+        assert np.array_equal(a.features, b.features)
 
 
 class TestSplitTrainTest:

@@ -102,10 +102,10 @@ class TestRobustRun:
         cfg = tiny_config(**{"experiment.rounds": 1, "aggregator.beta": 0.0})
         train, test, w_star, model = build_data(cfg, 0)
         shards = partition(train, cfg.devices, seed=stream_seed(cfg, 0, "partition"))
-        params = cfg.estimator_params(n=len(shards[0]), m=cfg.devices, d=model.dim, variant="plain")
+        params = cfg.estimator_params(n=len(shards), m=cfg.devices, d=model.dim, variant="plain")
         w0 = np.zeros(model.dim)
-        device_grads = [robust_gradient(model, w0, shard, params) for shard in shards]
-        expected = np.mean(np.asarray(device_grads), axis=0)
+        device_grads = robust_gradient(model, w0, shards, params)
+        expected = device_grads.mean(axis=0)
         metrics = run_robust_gd(cfg)
         assert metrics[1].grad_norm == float(np.linalg.norm(expected))
 
@@ -131,8 +131,8 @@ class TestBaselines:
         shards = partition(train, cfg.devices, seed=stream_seed(cfg, 0, "partition"))
         w0 = np.zeros(model.dim)
         pooled = per_sample_gradients(model, w0, train).mean(axis=0)
-        device_means = [per_sample_gradients(model, w0, s).mean(axis=0) for s in shards]
-        stacked = np.mean(np.asarray(device_means), axis=0)
+        device_means = per_sample_gradients(model, w0, shards).mean(axis=1)
+        stacked = device_means.mean(axis=0)
         assert np.allclose(stacked, pooled, atol=1e-12)
         metrics = run_baseline(cfg)
         assert abs(metrics[1].grad_norm - float(np.linalg.norm(stacked))) <= 1e-12
@@ -147,7 +147,7 @@ class TestBaselines:
         train, _, _, model = build_data(cfg, 0)
         shards = partition(train, cfg.devices, seed=stream_seed(cfg, 0, "partition"))
         w0 = np.zeros(model.dim)
-        norms = [float(np.linalg.norm(per_sample_gradients(model, w0, s).mean(axis=0))) for s in shards]
+        norms = np.linalg.norm(per_sample_gradients(model, w0, shards).mean(axis=1), axis=1)
         metrics = run_baseline(cfg)
         assert any(abs(metrics[1].grad_norm - nv) <= 1e-12 for nv in norms)
 

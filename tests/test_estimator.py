@@ -22,7 +22,7 @@ from heavyfed import (
     smoothing_correction,
     soft_truncate,
 )
-from oracles import concentration_failures, continuity_worst_ratio, mc_smoothed
+from oracles import STACKED_MODELS, concentration_failures, continuity_worst_ratio, mc_smoothed, stacked_shards
 
 SQRT2 = math.sqrt(2.0)
 
@@ -174,6 +174,19 @@ class TestRobustGradient:
         params = make_params(100.0 * float(np.abs(grads).max()), 9.0)
         out = robust_gradient(model, w, data, params)
         assert np.allclose(out, plain, rtol=0.02)
+
+    @pytest.mark.parametrize("model", STACKED_MODELS, ids=lambda m: f"{m.kind}-{m.objective}")
+    def test_stacked_shards_equal_per_shard_calls_bit_for_bit(self, model):
+        # 4 shards of 600 samples reach past one kernel block for every model,
+        # and the small scale sends some inputs down the quadrature branch
+        shards, w = stacked_shards(model, m=4, n=600)
+        params = make_params(0.01, 16.9)
+        batched = robust_gradient(model, w, shards, params)
+        per_shard = np.stack(
+            [robust_gradient(model, w, Dataset(X, y), params) for X, y in zip(shards.features, shards.labels)]
+        )
+        assert batched.shape == (4, model.dim)
+        assert np.array_equal(batched, per_shard)
 
     def test_empty_and_mismatch(self):
         model = LossModel("linear", 3)

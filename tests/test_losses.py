@@ -15,6 +15,7 @@ from heavyfed import (
     per_sample_loss,
     per_sample_losses,
 )
+from oracles import STACKED_MODELS, stacked_shards
 
 
 def finite_difference(model, w, z, step=1e-5):
@@ -162,5 +163,21 @@ class TestShapes:
     def test_dataset_validation(self):
         with pytest.raises(DimensionMismatch):
             Dataset(np.zeros((3, 2)), np.zeros(4))
+        with pytest.raises(DimensionMismatch):
+            Dataset(np.zeros((2, 3, 2)), np.zeros((3, 2)))
+        with pytest.raises(DimensionMismatch):
+            Dataset(np.zeros(3), np.zeros(3))
         with pytest.raises(ValueError):
             Dataset(np.array([[math.inf, 0.0]]), np.zeros(1))
+
+
+class TestStackedShards:
+    @pytest.mark.parametrize("model", STACKED_MODELS, ids=lambda m: f"{m.kind}-{m.objective}")
+    def test_gradients_equal_per_shard_calls_bit_for_bit(self, model):
+        shards, w = stacked_shards(model)
+        batched = per_sample_gradients(model, w, shards)
+        per_shard = np.stack(
+            [per_sample_gradients(model, w, Dataset(X, y)) for X, y in zip(shards.features, shards.labels)]
+        )
+        assert batched.shape == (3, 20, model.dim)
+        assert np.array_equal(batched, per_shard)
