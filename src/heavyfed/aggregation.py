@@ -129,14 +129,18 @@ def geometric_median(vectors, tol: float = 1e-8, max_iter: int = 1000) -> np.nda
     return y
 
 
-def _krum_scores(U, f, min_neighbours=0):
-    # Sum of squared distances to the m - f - 2 nearest peers.  Small pools
-    # inside bulyan keep at least min_neighbours so the scores stay
-    # distance-based (an all-zero score vector would make the pick depend on
-    # input order).  sq[i, i] = 0 is the minimum of row i, so after a row
-    # sort the peers start at column 1.
-    m = U.shape[0]
-    sq = np.sum((U[:, None, :] - U[None, :, :]) ** 2, axis=2)
+def _sq_distances(U):
+    return np.sum((U[:, None, :] - U[None, :, :]) ** 2, axis=2)
+
+
+def _krum_scores(sq, f, min_neighbours=0):
+    # Sum of squared distances to the m - f - 2 nearest peers, from the
+    # (m, m) squared-distance matrix.  Small pools inside bulyan keep at
+    # least min_neighbours so the scores stay distance-based (an all-zero
+    # score vector would make the pick depend on input order).
+    # sq[i, i] = 0 is the minimum of row i, so after a row sort the peers
+    # start at column 1.
+    m = sq.shape[0]
     keep = min(max(m - f - 2, min_neighbours), m - 1)
     return np.sort(sq, axis=1)[:, 1 : keep + 1].sum(axis=1)
 
@@ -148,7 +152,7 @@ def krum(vectors, f: int = 0) -> np.ndarray:
         raise InvalidConfig(f"f must be >= 0, got {f}")
     if U.shape[0] < f + 3:
         raise TooFewVectors(f"krum needs at least f + 3 = {f + 3} vectors, got {U.shape[0]}")
-    return U[int(np.argmin(_krum_scores(U, f)))].copy()
+    return U[int(np.argmin(_krum_scores(_sq_distances(U), f)))].copy()
 
 
 def bulyan(vectors, f: int = 0) -> np.ndarray:
@@ -160,13 +164,15 @@ def bulyan(vectors, f: int = 0) -> np.ndarray:
         raise InvalidConfig(f"f must be >= 0, got {f}")
     if m < 4 * f + 3:
         raise TooFewVectors(f"bulyan needs at least 4f + 3 = {4 * f + 3} vectors, got {m}")
+    # every pool's distances are entries of the full matrix
+    sq = _sq_distances(U)
     pool = list(range(m))
     chosen = []
     while len(chosen) < m - 2 * f:
         if len(pool) == 1:
             pick = 0
         else:
-            scores = _krum_scores(U[pool], f, min_neighbours=1)
+            scores = _krum_scores(sq[np.ix_(pool, pool)], f, min_neighbours=1)
             best = np.flatnonzero(scores == scores.min())
             # exact score ties are structural in tiny pools (mutual nearest
             # neighbours); break them by vector value so the selected set
