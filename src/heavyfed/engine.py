@@ -224,6 +224,9 @@ def _run(config: ExperimentConfig, rep: int, algorithm: str) -> list[RoundMetric
     local = _local_stage(model, shards, est, rule)
     adv_seed = stream_seed(config, rep, "adversary")
     comp_seed = stream_seed(config, rep, "compressor")
+    alpha, dynamic = config.attack.alpha, config.attack.dynamic
+    # a static Byzantine set is the same every round: draw it once
+    static_byz = None if dynamic else adversary.select_byzantine(m, alpha, False, 0, adv_seed)
 
     def snapshot(t, bytes_up, grad_norm, w_now):
         err = float(np.linalg.norm(w_now - w_star)) if w_star is not None else None
@@ -232,7 +235,7 @@ def _run(config: ExperimentConfig, rep: int, algorithm: str) -> list[RoundMetric
     metrics = [snapshot(0, 0, 0.0, w)]
     for t in range(config.rounds):
         uploads = local(w)
-        byz = adversary.select_byzantine(m, config.attack.alpha, config.attack.dynamic, t, adv_seed)
+        byz = adversary.select_byzantine(m, alpha, True, t, adv_seed) if dynamic else static_byz
         vectors, bytes_up = _uplink(codec, uploads, config.attack, byz, _round_rng(adv_seed, t), comp_seed, t)
         agg_vec = aggregation.aggregate(rule, vectors)
         w_next = project(w - eta * agg_vec, space)

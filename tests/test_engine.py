@@ -203,6 +203,29 @@ class TestBaselines:
         assert err.value.round_index == 0
 
 
+class TestByzantineSets:
+    @pytest.mark.parametrize("dynamic, draws", [(False, 1), (True, 6)])
+    def test_static_set_is_drawn_once_per_run(self, monkeypatch, dynamic, draws):
+        from heavyfed import adversary
+
+        calls = []
+        original = adversary.select_byzantine
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(adversary, "select_byzantine", counting)
+        cfg = tiny_config(**{
+            "experiment.rounds": 6,
+            "attack.kind": "sign_flip",
+            "attack.alpha": 0.2,
+            "attack.dynamic": dynamic,
+        })
+        run_robust_gd(cfg)
+        assert len(calls) == draws
+
+
 class TestCompressedRun:
     def test_topk_full_retention_matches_identity(self):
         base = {
