@@ -70,7 +70,6 @@ from .estimator import (
     robust_gradient,
     robust_scalar_mean,
     smoothed_truncate,
-    smoothing_correction,
     soft_truncate,
 )
 from .losses import (

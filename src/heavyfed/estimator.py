@@ -27,8 +27,8 @@ TRUNCATION_CAP = 2.0 * SQRT2 / 3.0
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
-# Beyond this magnitude of |a| + b the closed-form correction loses absolute
-# accuracy to cancellation (its terms grow cubically while the result stays
+# Beyond this magnitude of |a| + b the closed form loses absolute accuracy
+# to cancellation (its terms grow cubically while the result stays
 # bounded); smoothed_truncate switches to direct quadrature there.
 _CLOSED_FORM_LIMIT = 1e3
 
@@ -36,9 +36,14 @@ _CLOSED_FORM_LIMIT = 1e3
 # representable so no inf * 0 products can arise downstream.
 _B_TINY = 1e-300
 
+# Elements per smoothed_truncate call when the estimator evaluates a batch:
+# few enough calls that per-call overhead vanishes, small enough blocks that
+# the kernel's dozen temporaries stay in cache and off the peak memory.
+_BLOCK = 4096
+
 
 def _gauss_legendre_nodes():
-    nodes, weights = np.polynomial.legendre.leggauss(64)
+    nodes, weights = np.polynomial.legendre.leggauss(8)
     # force exact +- symmetry so the smoothed curve stays numerically odd
     nodes = 0.5 * (nodes - nodes[::-1])
     weights = 0.5 * (weights + weights[::-1])
@@ -60,58 +65,39 @@ def soft_truncate(x):
     return float(out) if out.ndim == 0 else out
 
 
-def _tiny_noise(a, b):
+def _tiny_noise(r, b):
     # below this, the noise shifts the truncation by less than one ulp and
-    # the quotients (sqrt2 +- a)/b would overflow to inf
-    return b < _B_TINY * (SQRT2 + np.abs(a))
+    # the quotients (sqrt2 +- r)/b would overflow to inf
+    return b < _B_TINY * (SQRT2 + r)
 
 
-def smoothing_correction(a, b_abs):
-    """Correction term turning the cubic core into the smoothed expectation.
-
-    Equals ``E[soft_truncate(a + b*u)] - (a*(1 - b^2/2) - a^3/6)`` for
-    ``u ~ N(0, 1)`` and ``b = b_abs >= 0``.  The ``b_abs == 0`` limit is
-    handled explicitly because the intermediate quantities divide by it.
-    Absolute accuracy degrades beyond ``|a| + b ~ 1e3`` (cancellation of
-    cubically growing terms); smoothed_truncate routes around that regime.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b_abs, dtype=float)
-    if np.any(b < 0.0):
-        raise ValueError("b_abs must be non-negative")
-    scalar = a.ndim == 0 and b.ndim == 0
-    a, b = np.broadcast_arrays(a, b)
-
-    zero_b = _tiny_noise(a, b)
-    safe_b = np.where(zero_b, 1.0, b)
-    # past |v| = 40 both the gaussian tail and its cdf underflow to exactly
-    # zero, so clamping changes nothing but keeps v**2 finite
-    v_minus = np.clip((SQRT2 - a) / safe_b, -40.0, 40.0)
-    v_plus = np.clip((SQRT2 + a) / safe_b, -40.0, 40.0)
-    f_minus = ndtr(-v_minus)
-    f_plus = ndtr(-v_plus)
-    e_minus = np.exp(-0.5 * v_minus**2)
-    e_plus = np.exp(-0.5 * v_plus**2)
-
-    odd_core = a - a**3 / 6.0
-    t1 = TRUNCATION_CAP * (f_minus - f_plus)
-    t2 = -odd_core * (f_minus + f_plus)
-    t3 = b * _INV_SQRT_2PI * (1.0 - a**2 / 2.0) * (e_plus - e_minus)
-    t4 = 0.5 * a * b**2 * (f_plus + f_minus + _INV_SQRT_2PI * (v_plus * e_plus + v_minus * e_minus))
-    t5 = b**3 / 6.0 * _INV_SQRT_2PI * ((2.0 + v_minus**2) * e_minus - (2.0 + v_plus**2) * e_plus)
-    smoothed = t1 + t2 + t3 + t4 + t5
-
-    # Without noise the correction is exactly what the clipped branches of
-    # soft_truncate add on top of the cubic core.
-    limit = np.where(np.abs(a) <= SQRT2, 0.0, np.copysign(TRUNCATION_CAP, a) - odd_core)
-    out = np.where(zero_b, limit, smoothed)
-    return float(out) if scalar else out
+def _closed_form(r, b):
+    # E[soft_truncate(X)] for X ~ N(r, b^2), r >= 0, b > 0, from the moments
+    # of X over the window |X| <= sqrt2 where the curve is cubic.  The window
+    # probability is P(X <= sqrt2) - P(X < -sqrt2), both near tails once
+    # r > sqrt2, and with b * v-+ = sqrt2 -+ r the density terms reduce to
+    # quadratic coefficients of phi(v-) +- phi(v+), so the cubic core is
+    # never added in full and then cancelled.
+    v_minus = (SQRT2 - r) / b
+    v_plus = (SQRT2 + r) / b
+    p_in = ndtr(v_minus)  # P(X <= sqrt2)
+    p_low = ndtr(-v_plus)  # P(X < -sqrt2)
+    with np.errstate(over="ignore"):  # v**2 -> inf is fine: exp(-inf) = 0
+        phi_minus = np.exp(-0.5 * v_minus * v_minus)
+        phi_plus = np.exp(-0.5 * v_plus * v_plus)
+    r2 = r * r
+    b2 = b * b
+    density = (_INV_SQRT_2PI * b) * (
+        (SQRT2 / 6.0) * r * (phi_minus + phi_plus) + ((r2 + 2.0 * b2 - 4.0) / 6.0) * (phi_minus - phi_plus)
+    )
+    window = (p_in - p_low) * r * (1.0 - r2 / 6.0 - 0.5 * b2)
+    return window + TRUNCATION_CAP * (1.0 - p_in - p_low) + density
 
 
 def _smoothed_by_quadrature(a, b):
     # stable evaluation for large |a| or b: clip probabilities plus the
     # bounded window integral of t - t^3/6 against the N(a, b^2) density,
-    # integrated in t over [-sqrt2, sqrt2] with 64-point Gauss-Legendre
+    # integrated in t over [-sqrt2, sqrt2] with 8-point Gauss-Legendre
     high = ndtr(-(SQRT2 - a) / b)
     low = ndtr(-(SQRT2 + a) / b)
     t = SQRT2 * _GL_NODES[None, :]
@@ -126,12 +112,12 @@ def _smoothed_by_quadrature(a, b):
 def smoothed_truncate(a, b):
     """Expectation of ``soft_truncate(a + b*u)`` under ``u ~ N(0, 1)``.
 
-    Uses the closed form with correction term for moderate arguments and a
-    clip-probability + quadrature evaluation where the closed form would
-    cancel catastrophically.  Every branch is evaluated at ``|a|`` and the
-    sign of ``a`` restored afterwards, so the curve is odd by construction;
-    the magnitude is clipped to ``[0, cap]``, where the exact expectation
-    lies for ``a >= 0``.
+    Uses a closed form over the moments of the gaussian in the truncation
+    window for moderate arguments and a clip-probability + quadrature
+    evaluation where the closed form would cancel catastrophically.  Every
+    branch is evaluated at ``|a|`` and the sign of ``a`` restored
+    afterwards, so the curve is odd by construction; the magnitude is
+    clipped to ``[0, cap]``, where the exact expectation lies for ``a >= 0``.
     """
     a = np.asarray(a, dtype=float)
     b = np.abs(np.asarray(b, dtype=float))
@@ -139,17 +125,15 @@ def smoothed_truncate(a, b):
     a, b = np.broadcast_arrays(np.atleast_1d(a), np.atleast_1d(b))
     r = np.abs(a)
 
-    out = np.empty(a.shape, dtype=float)
     tiny = _tiny_noise(r, b)
     extreme = (r + b > _CLOSED_FORM_LIMIT) & ~tiny
-    closed = ~tiny & ~extreme
-
-    if np.any(tiny):
+    if not (tiny.any() or extreme.any()):
+        out = _closed_form(r, b)
+    else:
+        out = np.empty(a.shape, dtype=float)
+        closed = ~tiny & ~extreme
         out[tiny] = soft_truncate(r[tiny])
-    if np.any(closed):
-        rc, bc = r[closed], b[closed]
-        out[closed] = rc * (1.0 - bc**2 / 2.0) - rc**3 / 6.0 + smoothing_correction(rc, bc)
-    if np.any(extreme):
+        out[closed] = _closed_form(r[closed], b[closed])
         out[extreme] = _smoothed_by_quadrature(r[extreme], b[extreme])
     np.clip(out, 0.0, TRUNCATION_CAP, out=out)
     np.copysign(out, a, out=out)
@@ -243,9 +227,15 @@ def default_params(n, m, d, v, diameter, lipschitz, variant="plain"):
 
 
 def _smoothed_values(x, params: EstimatorParams):
-    a = x / params.s
-    b = np.abs(x) / (params.s * math.sqrt(params.tau))
-    return smoothed_truncate(a, b)
+    # smoothed_truncate at a = x / s, b = |x| / (s sqrt(tau)), elementwise,
+    # over the flattened batch in blocks of _BLOCK elements
+    flat = np.ravel(x)
+    out = np.empty_like(flat)
+    noise_scale = params.s * math.sqrt(params.tau)
+    for start in range(0, flat.size, _BLOCK):
+        block = flat[start : start + _BLOCK]
+        out[start : start + _BLOCK] = smoothed_truncate(block / params.s, np.abs(block) / noise_scale)
+    return out.reshape(np.shape(x))
 
 
 def robust_scalar_mean(samples, params: EstimatorParams) -> float:

@@ -19,10 +19,16 @@ from heavyfed import (
     robust_gradient,
     robust_scalar_mean,
     smoothed_truncate,
-    smoothing_correction,
     soft_truncate,
 )
-from oracles import STACKED_MODELS, concentration_failures, continuity_worst_ratio, mc_smoothed, stacked_shards
+from oracles import (
+    STACKED_MODELS,
+    concentration_failures,
+    continuity_worst_ratio,
+    exact_smoothed,
+    mc_smoothed,
+    stacked_shards,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -57,32 +63,6 @@ class TestSoftTruncate:
         assert np.allclose(out, [0.0, TRUNCATION_CAP, -TRUNCATION_CAP])
 
 
-class TestSmoothingCorrection:
-    def test_zero_noise_small_argument(self):
-        assert smoothing_correction(0.5, 0.0) == 0.0
-
-    def test_zero_noise_clipped_argument(self):
-        # b -> 0 limit must equal soft_truncate(2) - (2 - 2**3/6)
-        expected = 2.0 * SQRT2 / 3.0 - (2.0 - 8.0 / 6.0)
-        assert smoothing_correction(2.0, 0.0) == pytest.approx(expected, abs=1e-15)
-        assert expected == pytest.approx(0.2761423749153967, abs=1e-12)
-
-    def test_matches_monte_carlo(self):
-        mc_mean, mc_se = mc_smoothed(1.0, 1.0, 10**6)
-        oracle = mc_mean - (1.0 * (1.0 - 0.5) - 1.0 / 6.0)
-        assert smoothing_correction(1.0, 1.0) == pytest.approx(oracle, abs=3.0 * mc_se)
-
-    def test_continuous_at_zero_noise(self):
-        for a in (-3.0, -1.0, 0.0, 1.0, 3.0):
-            assert smoothing_correction(a, 1e-9) == pytest.approx(
-                smoothing_correction(a, 0.0), abs=1e-6
-            )
-
-    def test_rejects_negative_b(self):
-        with pytest.raises(ValueError):
-            smoothing_correction(1.0, -0.5)
-
-
 class TestSmoothedTruncate:
     def test_zero_argument_is_zero(self):
         for b in (0.0, 0.5, 2.0, 10.0):
@@ -90,10 +70,43 @@ class TestSmoothedTruncate:
 
     def test_zero_noise_reduces_to_truncation(self):
         assert smoothed_truncate(1.0, 0.0) == pytest.approx(5.0 / 6.0, abs=1e-15)
+        assert smoothed_truncate(2.0, 0.0) == TRUNCATION_CAP
+        assert smoothed_truncate(-3.0, 0.0) == -TRUNCATION_CAP
 
     def test_matches_monte_carlo(self):
         mc_mean, mc_se = mc_smoothed(1.0, 1.0, 10**6)
         assert smoothed_truncate(1.0, 1.0) == pytest.approx(mc_mean, abs=3.0 * mc_se)
+
+    def test_continuous_at_zero_noise(self):
+        for a in (-3.0, -1.0, 0.0, 1.0, 3.0):
+            assert smoothed_truncate(a, 1e-9) == pytest.approx(smoothed_truncate(a, 0.0), abs=1e-6)
+
+    @pytest.mark.parametrize("tau", [16.9, 32.0])
+    def test_exact_on_the_estimator_line(self, tau):
+        # the estimator always evaluates at b = |a| / sqrt(tau); up to the
+        # quadrature limit |a| + b = 1e3 the closed form must not cancel
+        r = np.geomspace(1e-5, 1e3 / (1.0 + 1.0 / math.sqrt(tau)), 400)
+        b = r / math.sqrt(tau)
+        exact = np.array([exact_smoothed(x, y) for x, y in zip(r, b)])
+        assert np.abs(smoothed_truncate(r, b) - exact).max() <= 1e-11
+
+    def test_closed_form_grid_against_exact(self):
+        # off the estimator line large b still cancels; the old closed form
+        # reached 2.0e-8 on this grid
+        g = np.geomspace(1e-3, 1e3, 50)
+        a, b = (x.ravel() for x in np.meshgrid(g, g))
+        inside = a + b <= 1e3
+        a, b = a[inside], b[inside]
+        exact = np.array([exact_smoothed(x, y) for x, y in zip(a, b)])
+        assert np.abs(smoothed_truncate(a, b) - exact).max() <= 1.96e-8
+
+    def test_quadrature_branch_against_exact(self):
+        rng = np.random.default_rng(4)
+        a, b = rng.uniform(0.0, 3e3, 4000), rng.uniform(1.0, 1.5e3, 4000)
+        extreme = a + b > 1e3
+        a, b = a[extreme][:500], b[extreme][:500]
+        exact = np.array([exact_smoothed(x, y) for x, y in zip(a, b)])
+        assert np.abs(smoothed_truncate(a, b) - exact).max() <= 1e-15
 
     @given(finite_floats, st.floats(min_value=-100.0, max_value=100.0, allow_nan=False))
     @settings(max_examples=300)
@@ -187,6 +200,18 @@ class TestRobustGradient:
         )
         assert batched.shape == (4, model.dim)
         assert np.array_equal(batched, per_shard)
+
+    def test_block_size_does_not_change_the_bytes(self, monkeypatch):
+        from heavyfed import estimator
+
+        model = LossModel("logistic", 4)
+        shards, w = stacked_shards(model, m=4, n=600)
+        params = make_params(0.01, 16.9)
+        outputs = []
+        for block in (7, 4096, 10**9):
+            monkeypatch.setattr(estimator, "_BLOCK", block)
+            outputs.append(robust_gradient(model, w, shards, params))
+        assert all(out.tobytes() == outputs[0].tobytes() for out in outputs)
 
     def test_empty_and_mismatch(self):
         model = LossModel("linear", 3)

@@ -55,13 +55,13 @@ GOLDEN = {
     "baseline-krum": "4256b5a50b0bec05b59e5c3ebd7e6c59998b57f5846c56e4e71a172eab0703a2",
     "baseline-mean": "c200d294dedabffcaeba4ab9a79d2eb2b3db3d106ea7e25291a212d9aad23ff8",
     "baseline-mkrum": "f5e27796d993278f69280284fe184edbd5a0f32c58c84def1002dbda778f8afe",
-    "compressed-identity": "d5543d791a1677f481bf1a1cdfc03ecfd2e4ac9630d518558f639f6da2e12158",
-    "compressed-l1": "565ba8c2c96b9a3bf2ef4cadf6ae46ad3d3f8d785aad2c17b00bc2a9e54ec56d",
-    "compressed-randk": "e08faf316ee7862aa606375e30d99a2cfc2898fc169b8b4ef3cc067beccb9b83",
-    "compressed-topk": "d91c22761d5517f3688c35898b7d1f44a86b7b3501a9bf5c5c360b17d856c9fe",
-    "robust": "a82c34040897991240c4a5ba2615c091240f2ed55112e877d2d137517155d36e",
-    "robust-logistic-dynamic": "9171ccf6a2de199b9b9f5228da14acfb763a29ab94ac59f291c2bef67c049cb8",
-    "robust-randk-ignored": "a82c34040897991240c4a5ba2615c091240f2ed55112e877d2d137517155d36e",
+    "compressed-identity": "7905e26fcbf8afba69be5c364f28b944d6ab0548b4fd90cee1bf3aa9d0d024ac",
+    "compressed-l1": "90e1c24ca02766a24b39eb250a7df92dc267176b828a468e2887c7a6298543fb",
+    "compressed-randk": "7f7994ee8da8711e3552e9f9b844bc639f1f43a84c35dd89b3908ecbafc80fc4",
+    "compressed-topk": "9f701cade50c5bba2ea8ffc207d7df3dcd90f870add917f31dbfe424518d8b36",
+    "robust": "188cbf1b995cf96441e59b0c28f9ece3d6a8ec894f32bd2dcb3cc0b251a67cdc",
+    "robust-logistic-dynamic": "62f4c0338e0fa8ab55ced66992b5ca968b942448227a5a0b1d3552ea64b5bde8",
+    "robust-randk-ignored": "188cbf1b995cf96441e59b0c28f9ece3d6a8ec894f32bd2dcb3cc0b251a67cdc",
 }
 
 
