@@ -32,8 +32,9 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 # bounded); smoothed_truncate switches to direct quadrature there.
 _CLOSED_FORM_LIMIT = 1e3
 
-# Relative scale below which b is treated as exactly zero; keeps (sqrt2 +- a)/b
-# representable so no inf * 0 products can arise downstream.
+# Relative scale below which b is treated as exactly zero: the noise then
+# shifts the truncation by less than one ulp, and treating it as zero keeps
+# (sqrt2 +- a)/b representable so no inf * 0 products arise downstream.
 _B_TINY = 1e-300
 
 # Elements per smoothed_truncate call when the estimator evaluates a batch:
@@ -63,12 +64,6 @@ def soft_truncate(x):
     core = x - x**3 / 6.0
     out = np.where(x > SQRT2, TRUNCATION_CAP, np.where(x < -SQRT2, -TRUNCATION_CAP, core))
     return float(out) if out.ndim == 0 else out
-
-
-def _tiny_noise(r, b):
-    # below this, the noise shifts the truncation by less than one ulp and
-    # the quotients (sqrt2 +- r)/b would overflow to inf
-    return b < _B_TINY * (SQRT2 + r)
 
 
 def _closed_form(r, b):
@@ -125,7 +120,7 @@ def smoothed_truncate(a, b):
     a, b = np.broadcast_arrays(np.atleast_1d(a), np.atleast_1d(b))
     r = np.abs(a)
 
-    tiny = _tiny_noise(r, b)
+    tiny = b < _B_TINY * (SQRT2 + r)
     extreme = (r + b > _CLOSED_FORM_LIMIT) & ~tiny
     if not (tiny.any() or extreme.any()):
         out = _closed_form(r, b)
