@@ -63,6 +63,28 @@ class TestSoftTruncate:
         assert np.allclose(out, [0.0, TRUNCATION_CAP, -TRUNCATION_CAP])
 
 
+def cubic_core_correction(a, b):
+    # what the gaussian smoothing adds on top of the smoothed cubic core,
+    # E[soft_truncate(a + b*u)] - (a*(1 - b^2/2) - a^3/6)
+    return smoothed_truncate(a, b) - (a * (1.0 - b * b / 2.0) - a**3 / 6.0)
+
+
+class TestSmoothingCorrection:
+    def test_zero_noise_small_argument(self):
+        assert cubic_core_correction(0.5, 0.0) == 0.0
+
+    def test_zero_noise_clipped_argument(self):
+        # b -> 0 limit must equal soft_truncate(2) - (2 - 2**3/6)
+        expected = 2.0 * SQRT2 / 3.0 - (2.0 - 8.0 / 6.0)
+        assert cubic_core_correction(2.0, 0.0) == pytest.approx(expected, abs=1e-15)
+        assert expected == pytest.approx(0.2761423749153967, abs=1e-12)
+
+    def test_matches_monte_carlo(self):
+        mc_mean, mc_se = mc_smoothed(1.0, 1.0, 10**6)
+        oracle = mc_mean - (1.0 * (1.0 - 0.5) - 1.0 / 6.0)
+        assert cubic_core_correction(1.0, 1.0) == pytest.approx(oracle, abs=3.0 * mc_se)
+
+
 class TestSmoothedTruncate:
     def test_zero_argument_is_zero(self):
         for b in (0.0, 0.5, 2.0, 10.0):
