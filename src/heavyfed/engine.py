@@ -96,7 +96,10 @@ def stream_seed(config: ExperimentConfig, rep: int, name: str) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _round_rng(seed, t):
+def _round_rng(attack, seed, t):
+    # only the gaussian noise attack draws from its rng; the others ignore it
+    if attack.kind != "gaussian_noise":
+        return None
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(t, 1)))
 
 
@@ -236,7 +239,8 @@ def _run(config: ExperimentConfig, rep: int, algorithm: str) -> list[RoundMetric
     for t in range(config.rounds):
         uploads = local(w)
         byz = adversary.select_byzantine(m, alpha, True, t, adv_seed) if dynamic else static_byz
-        vectors, bytes_up = _uplink(codec, uploads, config.attack, byz, _round_rng(adv_seed, t), comp_seed, t)
+        adv_rng = _round_rng(config.attack, adv_seed, t)
+        vectors, bytes_up = _uplink(codec, uploads, config.attack, byz, adv_rng, comp_seed, t)
         agg_vec = aggregation.aggregate(rule, vectors)
         w_next = project(w - eta * agg_vec, space)
         if not np.all(np.isfinite(w_next)):

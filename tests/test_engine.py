@@ -225,6 +225,22 @@ class TestByzantineSets:
         run_robust_gd(cfg)
         assert len(calls) == draws
 
+    @pytest.mark.parametrize("kind, draws", [("sign_flip", False), ("gaussian_noise", True)])
+    def test_round_rng_only_for_the_drawing_attack(self, monkeypatch, kind, draws):
+        from heavyfed import adversary
+
+        rngs = []
+        original = adversary.corrupt
+
+        def recording(attack, uploads, byz, rng):
+            rngs.append(rng)
+            return original(attack, uploads, byz, rng)
+
+        monkeypatch.setattr(adversary, "corrupt", recording)
+        run_robust_gd(tiny_config(**{"experiment.rounds": 4, "attack.kind": kind, "attack.alpha": 0.2}))
+        assert len(rngs) == 4
+        assert all((rng is not None) == draws for rng in rngs)
+
 
 class TestCompressedRun:
     def test_topk_full_retention_matches_identity(self):

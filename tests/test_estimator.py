@@ -21,6 +21,7 @@ from heavyfed import (
     smoothed_truncate,
     soft_truncate,
 )
+from heavyfed import estimator
 from oracles import (
     STACKED_MODELS,
     concentration_failures,
@@ -105,22 +106,22 @@ class TestSmoothedTruncate:
 
     @pytest.mark.parametrize("tau", [16.9, 32.0])
     def test_exact_on_the_estimator_line(self, tau):
-        # the estimator always evaluates at b = |a| / sqrt(tau); up to the
-        # quadrature limit |a| + b = 1e3 the closed form must not cancel
-        r = np.geomspace(1e-5, 1e3 / (1.0 + 1.0 / math.sqrt(tau)), 400)
+        # the estimator's table is built from smoothed_truncate at
+        # b = |a| / sqrt(tau), across both branches and the 1e4 table end
+        r = np.geomspace(1e-5, 1e5, 400)
         b = r / math.sqrt(tau)
         exact = np.array([exact_smoothed(x, y) for x, y in zip(r, b)])
-        assert np.abs(smoothed_truncate(r, b) - exact).max() <= 1e-11
+        assert np.abs(smoothed_truncate(r, b) - exact).max() <= 1e-13
 
     def test_closed_form_grid_against_exact(self):
-        # off the estimator line large b still cancels; the old closed form
-        # reached 2.0e-8 on this grid
+        # b >> |a| cancels in the closed form; the limit |a| + b <= 10 keeps
+        # it where it does not (a limit of 1e3 reached 6.8e-9 on this grid)
         g = np.geomspace(1e-3, 1e3, 50)
         a, b = (x.ravel() for x in np.meshgrid(g, g))
         inside = a + b <= 1e3
         a, b = a[inside], b[inside]
         exact = np.array([exact_smoothed(x, y) for x, y in zip(a, b)])
-        assert np.abs(smoothed_truncate(a, b) - exact).max() <= 1.96e-8
+        assert np.abs(smoothed_truncate(a, b) - exact).max() <= 1e-13
 
     def test_quadrature_branch_against_exact(self):
         rng = np.random.default_rng(4)
@@ -140,6 +141,41 @@ class TestSmoothedTruncate:
     @settings(max_examples=300)
     def test_bounded(self, a, b):
         assert abs(smoothed_truncate(a, b)) <= TRUNCATION_CAP + 1e-12
+
+
+class TestLineTable:
+    """The estimator's per-tau table of smoothed_truncate on b = |a| / sqrt(tau)."""
+
+    @pytest.mark.parametrize("tau", [0.25, 16.9, 32.0, 200.0])
+    def test_exact_on_the_estimator_line(self, tau):
+        # past r = 1e4 the table switches to its piece in 1e4 / r
+        r = np.geomspace(1e-6, 1e6, 400)
+        exact = np.array([exact_smoothed(x, x / math.sqrt(tau)) for x in r])
+        assert np.abs(estimator._smoothed_values(r, make_params(1.0, tau)) - exact).max() <= 1e-12
+
+    def test_odd_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        x = rng.standard_cauchy(5000) * np.exp(rng.uniform(-10.0, 10.0, 5000))
+        x[:3] = (0.0, 1e300, 2e4)
+        params = make_params(0.3, 16.9)
+        assert estimator._smoothed_values(-x, params).tobytes() == (-estimator._smoothed_values(x, params)).tobytes()
+
+    def test_bounded_by_the_cap(self):
+        x = np.geomspace(1e-8, 1e300, 4000)
+        for tau in (0.25, 3.0, 200.0):
+            assert np.abs(estimator._smoothed_values(x, make_params(1.0, tau))).max() <= TRUNCATION_CAP
+
+    def test_non_finite_input_stays_non_finite(self):
+        # a NaN or infinite gradient coordinate must reach the engine's
+        # finiteness check, not a table index
+        x = np.array([math.nan, math.inf, -math.inf, 0.0, 1.0])
+        out = estimator._smoothed_values(x, make_params(1.0, 16.9))
+        assert np.isnan(out[:3]).all()
+        assert out[3] == 0.0 and np.isfinite(out[4])
+
+    def test_too_coarse_table_is_refused(self):
+        with pytest.raises(InvalidConfig, match="tau=16.9"):
+            estimator._LineTable(16.9, 8)
 
 
 class TestRobustScalarMean:
@@ -212,9 +248,9 @@ class TestRobustGradient:
 
     @pytest.mark.parametrize("model", STACKED_MODELS, ids=lambda m: f"{m.kind}-{m.objective}")
     def test_stacked_shards_equal_per_shard_calls_bit_for_bit(self, model):
-        # 4 shards of 600 samples reach past one kernel block for every model,
-        # and the small scale sends some inputs down the quadrature branch
-        shards, w = stacked_shards(model, m=4, n=600)
+        # 4 shards of 1100 samples reach past one kernel block for every model,
+        # and the small scale sends some inputs into the table's tail piece
+        shards, w = stacked_shards(model, m=4, n=1100)
         params = make_params(0.01, 16.9)
         batched = robust_gradient(model, w, shards, params)
         per_shard = np.stack(
@@ -224,8 +260,6 @@ class TestRobustGradient:
         assert np.array_equal(batched, per_shard)
 
     def test_block_size_does_not_change_the_bytes(self, monkeypatch):
-        from heavyfed import estimator
-
         model = LossModel("logistic", 4)
         shards, w = stacked_shards(model, m=4, n=600)
         params = make_params(0.01, 16.9)

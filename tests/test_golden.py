@@ -55,13 +55,13 @@ GOLDEN = {
     "baseline-krum": "4256b5a50b0bec05b59e5c3ebd7e6c59998b57f5846c56e4e71a172eab0703a2",
     "baseline-mean": "c200d294dedabffcaeba4ab9a79d2eb2b3db3d106ea7e25291a212d9aad23ff8",
     "baseline-mkrum": "f5e27796d993278f69280284fe184edbd5a0f32c58c84def1002dbda778f8afe",
-    "compressed-identity": "7905e26fcbf8afba69be5c364f28b944d6ab0548b4fd90cee1bf3aa9d0d024ac",
-    "compressed-l1": "90e1c24ca02766a24b39eb250a7df92dc267176b828a468e2887c7a6298543fb",
-    "compressed-randk": "7f7994ee8da8711e3552e9f9b844bc639f1f43a84c35dd89b3908ecbafc80fc4",
-    "compressed-topk": "9f701cade50c5bba2ea8ffc207d7df3dcd90f870add917f31dbfe424518d8b36",
-    "robust": "188cbf1b995cf96441e59b0c28f9ece3d6a8ec894f32bd2dcb3cc0b251a67cdc",
-    "robust-logistic-dynamic": "62f4c0338e0fa8ab55ced66992b5ca968b942448227a5a0b1d3552ea64b5bde8",
-    "robust-randk-ignored": "188cbf1b995cf96441e59b0c28f9ece3d6a8ec894f32bd2dcb3cc0b251a67cdc",
+    "compressed-identity": "2582fe98c517f40b8513e6ce8c35c359320f9dbea996ab8861f5795f009d509d",
+    "compressed-l1": "eda82fe9b8bece1b785f20afca0ef69b922bf719d7f9056d73211d2f00f07969",
+    "compressed-randk": "fe75f37d3dcda4284bbaa030383a060717a190a7ef19aa5adbb0137fd28d0d38",
+    "compressed-topk": "f0fc4498f9a660dfc8462a77a41814f7b5d38b357f5e88e0783a19ce0773bd6c",
+    "robust": "26548e6c615dd6d2311d550d1494ea96d1e0343a8276205104226757bf410ad8",
+    "robust-logistic-dynamic": "671b9b9aea2053a4a1e20d49a6922510034aacb6e035963f2210ea37a8c41031",
+    "robust-randk-ignored": "26548e6c615dd6d2311d550d1494ea96d1e0343a8276205104226757bf410ad8",
 }
 
 
