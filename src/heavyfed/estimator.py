@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +66,13 @@ _TABLE_MAX_PIECES = 4096
 # with 4096 and 8192 on compressed-logistic's 40000-element batches, where
 # whole-batch evaluation ran about 20% slower at 1.75x the peak memory.
 _BLOCK = 16384
+
+# Per-thread block buffers of the table kernel, kept between calls.  Buffers
+# allocated afresh for every block are returned to the system by glibc after
+# each batch and faulted in again on the next one (about 113000 minor page
+# faults per two-repetition compressed-logistic experiment), which makes the
+# kernel's speed follow the machine's memory load.
+_WORKSPACE = threading.local()
 
 
 def _gauss_legendre_nodes():
@@ -271,7 +279,9 @@ class _LineTable:
         self.coef[0, 0] = 0.0
         self.coef.flags.writeable = False
         r = self._radii(_chebyshev_points(2 * (_TABLE_DEGREE + 1))).ravel()
-        miss = np.abs(self.magnitude(r / _TABLE_R0) - smoothed_truncate(r, r / math.sqrt(tau))).max()
+        q = r / _TABLE_R0
+        got = self.magnitude(q, np.empty_like(q), _scratch(q.size))
+        miss = np.abs(got - smoothed_truncate(r, r / math.sqrt(tau))).max()
         if not miss <= _TABLE_TOL:
             raise InvalidConfig(
                 f"estimator table for tau={tau} misses smoothed_truncate by {miss:.2g} "
@@ -283,12 +293,16 @@ class _LineTable:
         z = (np.arange(self.pieces)[:, None] + u) / self.inv_width
         return np.vstack([_TABLE_R0 * np.expm1(z), _TABLE_END / u])
 
-    def magnitude(self, q):
-        """g at ``r = q * _TABLE_R0`` for ``q >= 0``; NaN where q is NaN or inf."""
-        u = np.log1p(q)
+    def magnitude(self, q, out, scratch):
+        """g at ``r = q * _TABLE_R0`` for ``q >= 0`` into ``out``, which is
+        returned; NaN where q is NaN or inf.  ``scratch`` is ``_scratch`` of
+        at least q's size."""
+        u, term, piece = (buf[: q.size] for buf in scratch)
+        np.log1p(q, out=u)
         u *= self.inv_width
         # fmin sends NaN to a valid piece, where u stays NaN
-        piece = np.fmin(u, self.pieces - 1).astype(np.intp)
+        np.fmin(u, self.pieces - 1, out=out)
+        np.copyto(piece, out, casting="unsafe")
         u -= piece
         q_end = _TABLE_END / _TABLE_R0
         tail = q > q_end
@@ -297,11 +311,25 @@ class _LineTable:
             # g(inf) is finite; an infinite input must stay visible as NaN
             u[tail] = np.where(np.isinf(q_tail), np.nan, q_end / q_tail)
             piece[tail] = self.pieces
-        out = self.coef[_TABLE_DEGREE].take(piece)
+        # every index is a valid piece; "clip" only spares take a buffered copy
+        self.coef[_TABLE_DEGREE].take(piece, out=out, mode="clip")
         for row in self.coef[_TABLE_DEGREE - 1 :: -1]:
             out *= u
-            out += row.take(piece)
+            out += row.take(piece, out=term, mode="clip")
         return out
+
+
+def _scratch(size):
+    # buffers u, term, piece of _LineTable.magnitude
+    return np.empty(size), np.empty(size), np.empty(size, dtype=np.intp)
+
+
+def _workspace(size):
+    # this thread's kernel buffers (q, scratch), grown to hold size elements
+    buffers = getattr(_WORKSPACE, "buffers", None)
+    if buffers is None or buffers[0].size < size:
+        buffers = _WORKSPACE.buffers = (np.empty(size), _scratch(size))
+    return buffers
 
 
 def _table_pieces(tau):
@@ -324,14 +352,15 @@ def _smoothed_values(x, params: EstimatorParams):
     table = _line_table(params.tau)
     flat = np.ravel(x)
     out = np.empty_like(flat)
+    q_buf, scratch = _workspace(min(flat.size, _BLOCK))
     scale = 1.0 / (_TABLE_R0 * params.s)
     for start in range(0, flat.size, _BLOCK):
         block = flat[start : start + _BLOCK]
-        q = np.abs(block)
+        q = np.abs(block, out=q_buf[: block.size])
         q *= scale
-        value = table.magnitude(q)
+        value = table.magnitude(q, out[start : start + _BLOCK], scratch)
         np.clip(value, 0.0, TRUNCATION_CAP, out=value)
-        np.copysign(value, block, out=out[start : start + _BLOCK])
+        np.copysign(value, block, out=value)
     return out.reshape(np.shape(x))
 
 

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -176,6 +178,41 @@ class TestLineTable:
     def test_too_coarse_table_is_refused(self):
         with pytest.raises(InvalidConfig, match="tau=16.9"):
             estimator._LineTable(16.9, 8)
+
+    def test_kept_buffers_carry_nothing_between_calls(self):
+        # the kernel keeps its block buffers from one call to the next; a
+        # smaller batch in between must not change a larger one's bytes
+        x = np.random.default_rng(9).standard_cauchy(3 * estimator._BLOCK + 5)
+        params = make_params(0.3, 16.9)
+        first = estimator._smoothed_values(x, params)
+        assert estimator._smoothed_values(x[:30], params).tobytes() == first[:30].tobytes()
+        assert estimator._smoothed_values(x, params).tobytes() == first.tobytes()
+
+    def test_threads_keep_their_own_buffers(self):
+        rng = np.random.default_rng(10)
+        batches = [rng.standard_cauchy(2 * estimator._BLOCK) * 10.0**k for k in range(-2, 2)]
+        params = make_params(0.3, 16.9)
+        serial = [estimator._smoothed_values(x, params).tobytes() for x in batches]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            threaded = list(pool.map(lambda x: estimator._smoothed_values(x, params).tobytes(), batches * 8))
+        assert threaded == serial * 8
+
+    def test_blocks_allocate_no_temporaries(self, monkeypatch):
+        # fresh per-block temporaries (about six blocks of floats) are returned
+        # to the system after every batch and faulted in again on the next;
+        # beyond its output a batch allocates less than one block of floats
+        # (boolean masks and numpy's casting buffers)
+        monkeypatch.setattr(estimator, "_BLOCK", 16384)
+        x = np.random.default_rng(11).standard_normal(4 * estimator._BLOCK)
+        params = make_params(0.3, 16.9)
+        estimator._smoothed_values(x, params)
+        tracemalloc.start()
+        try:
+            out = estimator._smoothed_values(x, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes < 8 * estimator._BLOCK
 
 
 class TestRobustScalarMean:
