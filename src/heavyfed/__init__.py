@@ -17,14 +17,7 @@ from .aggregation import (
     mean,
     norm_trimmed_mean,
 )
-from .compression import (
-    CompressedMessage,
-    CompressorSpec,
-    compress,
-    decompress,
-    effective_delta,
-    nominal_bytes,
-)
+from .compression import CompressorSpec, effective_delta, encode, nominal_bytes
 from .config import ExperimentConfig, apply_axis, config_digest, echo_config, make_config, parse_config
 from .datagen import (
     CsvSchema,

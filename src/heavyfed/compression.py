@@ -5,11 +5,14 @@ declared delta -- per instance for top-k and the sign quantizer, and in
 expectation for random sparsification.  Byte accounting is nominal: 8-byte
 values, 4-byte indices, 1-bit signs; the simulator reports these counts, not
 serialized wire bytes.
+
+The codec works on the whole ``(m, d)`` upload array at once: ``encode``
+turns it into its wire payload (``compress``) and back (``decompress``), and
+``nominal_bytes`` prices the kept counts it reports.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,80 +49,85 @@ class CompressorSpec:
         return 1.0 / d
 
 
-@dataclass(frozen=True)
-class CompressedMessage:
-    """One device upload in wire form.
+def encode(spec: CompressorSpec, U, rng=None):
+    """Encode the ``(m, d)`` uploads, one row per device.
 
-    ``values``/``indices`` carry sparse payloads (dense for identity);
-    ``scale``/``signs`` carry the sign-quantized form.
+    Returns the decoded wire array the server sees and the number of values
+    each row kept.  Identity returns ``U`` itself.  ``randk`` requires an
+    explicit ``rng`` and draws one ``(m, d)`` uniform block from it, so the
+    draws are reproducible and attributable to one stream.
     """
-
-    kind: str
-    dim: int
-    values: np.ndarray | None = None
-    indices: np.ndarray | None = None
-    scale: float = 0.0
-    signs: np.ndarray | None = None
-
-
-def compress(spec: CompressorSpec, x, rng=None) -> CompressedMessage:
-    """Encode a gradient vector under the given compressor.
-
-    ``randk`` requires an explicit ``rng`` so that draws are reproducible
-    and attributable to one stream.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.shape[0] == 0:
-        raise DimensionMismatch(f"compress expects a non-empty 1-d vector, got shape {x.shape}")
-    d = x.shape[0]
+    U = np.asarray(U, dtype=float)
+    if U.ndim != 2 or U.size == 0:
+        raise DimensionMismatch(f"encode expects a non-empty (m, d) array, got shape {U.shape}")
+    m, d = U.shape
     if spec.kind == "identity":
-        return CompressedMessage("identity", d, values=x.copy())
+        return U, np.full(m, d)
+    payload = compress(spec, U, rng)
+    # sparse payloads keep their mask's positions; the sign quantizer keeps every sign
+    kept = np.full(m, d) if spec.kind == "l1" else np.count_nonzero(payload[0], axis=1)
+    return decompress(spec, payload), kept
+
+
+def compress(spec: CompressorSpec, U: np.ndarray, rng=None):
+    """Wire payload of a non-empty ``(m, d)`` float array (``encode``'s first half).
+
+    Sparse kinds: ``(mask, values)``, the kept positions and their values in
+    row-major order.  ``l1``: ``(scale, signs)``, one scale per row and int8
+    signs with sign(0) = +1.
+    """
+    d = U.shape[1]
     if spec.kind == "topk":
         if spec.k > d:
             raise InvalidConfig(f"topk k={spec.k} exceeds dimension {d}")
-        top = np.argsort(-np.abs(x), kind="stable")[: spec.k]  # ties: lowest index
-        idx = np.sort(top).astype(np.int64)
-        return CompressedMessage("topk", d, values=x[idx].copy(), indices=idx)
+        top = np.argsort(-np.abs(U), axis=1, kind="stable")[:, : spec.k]  # ties: lowest index
+        mask = np.zeros(U.shape, dtype=bool)
+        np.put_along_axis(mask, top, True, axis=1)
+        return mask, U[mask]
     if spec.kind == "randk":
         if rng is None:
             raise InvalidConfig("randk compression requires an explicit rng")
-        idx = np.flatnonzero(rng.random(d) < spec.p).astype(np.int64)
-        return CompressedMessage("randk", d, values=x[idx].copy(), indices=idx)
-    scale = float(np.abs(x).sum() / d)
-    signs = np.where(x < 0.0, -1, 1).astype(np.int8)  # sign(0) = +1
-    return CompressedMessage("l1", d, scale=scale, signs=signs)
+        mask = rng.random(U.shape) < spec.p
+        return mask, U[mask]
+    scale = np.abs(U).sum(axis=1) / d
+    signs = np.where(U < 0.0, -1, 1).astype(np.int8)
+    return scale, signs
 
 
-def decompress(msg: CompressedMessage) -> np.ndarray:
-    """Reconstruct the dense vector a message encodes."""
-    if msg.kind == "identity":
-        return msg.values.copy()
-    if msg.kind in ("topk", "randk"):
-        out = np.zeros(msg.dim)
-        out[msg.indices] = msg.values
-        return out
-    return msg.scale * msg.signs.astype(float)
+def decompress(spec: CompressorSpec, payload) -> np.ndarray:
+    """The dense ``(m, d)`` array a ``compress`` payload encodes."""
+    if spec.kind == "l1":
+        scale, signs = payload
+        return scale[:, None] * signs
+    mask, values = payload
+    out = np.zeros(mask.shape)
+    out[mask] = values
+    return out
 
 
-def effective_delta(spec: CompressorSpec, x, rng=None) -> float:
-    """Measured retained-energy fraction 1 - ||Q(x) - x||^2 / ||x||^2 (1.0 at x = 0)."""
+def effective_delta(spec: CompressorSpec, x, rng=None):
+    """Measured retained-energy fraction 1 - ||Q(x) - x||^2 / ||x||^2 (1.0 at x = 0).
+
+    A vector gives a float; an ``(m, d)`` array gives one delta per row.
+    """
     x = np.asarray(x, dtype=float)
-    energy = float(x @ x)
-    if energy == 0.0:
-        return 1.0
-    err = decompress(compress(spec, x, rng)) - x
-    return 1.0 - float(err @ err) / energy
+    rows = x.reshape(1, -1) if x.ndim == 1 else x
+    wire, _ = encode(spec, rows, rng)
+    err = wire - rows
+    energy = np.sum(rows * rows, axis=1)
+    lost = np.divide(np.sum(err * err, axis=1), energy, out=np.zeros_like(energy), where=energy != 0.0)
+    delta = 1.0 - lost
+    return float(delta[0]) if x.ndim == 1 else delta
 
 
-def nominal_bytes(msg: CompressedMessage) -> int:
-    """Message size under the nominal accounting rule.
+def nominal_bytes(spec: CompressorSpec, kept) -> int:
+    """Upload size under the nominal accounting rule, from ``encode``'s kept counts.
 
     Dense: 8 bytes per coordinate.  Sparse: 12 bytes per kept coordinate
-    (8-byte value + 4-byte index).  Sign-quantized: one 8-byte scale plus a
-    packed sign bitmap.
+    (8-byte value + 4-byte index), whatever its value.  Sign-quantized: per
+    row one 8-byte scale plus a packed sign bitmap.
     """
-    if msg.kind == "identity":
-        return 8 * msg.dim
-    if msg.kind in ("topk", "randk"):
-        return 12 * len(msg.values)
-    return 8 + math.ceil(msg.dim / 8)
+    kept = np.asarray(kept)
+    if spec.kind == "l1":
+        return 8 * kept.size + int(((kept + 7) // 8).sum())
+    return (8 if spec.kind == "identity" else 12) * int(kept.sum())

@@ -5,9 +5,12 @@ local estimate -> codec -> Byzantine corruption of the decoded wire array ->
 robust aggregation -> projected descent step.  An algorithm only chooses
 what fills the stages; ``_stages`` holds that choice for ``robust``,
 ``robust_compressed`` and ``baseline``.  The local stage evaluates every
-device in one batched call over the stacked ``(m, n, p)`` shards; device
-computations are pure functions of (round state, shard, derived seed), so
-identical configs and seeds reproduce bit-identical metric streams.
+device in one batched call over the stacked ``(m, n, p)`` shards, and the
+codec encodes the whole array in one call, drawing from one stream per round
+(not one per device) that serves every upload and then the Byzantine
+re-encodes.  Device computations are pure functions of (round state, shard,
+derived seed), so identical configs and seeds reproduce bit-identical metric
+streams.
 """
 
 from __future__ import annotations
@@ -96,18 +99,12 @@ def stream_seed(config: ExperimentConfig, rep: int, name: str) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _round_rng(attack, seed, t):
-    # only the gaussian noise attack draws from its rng; the others ignore it
-    if attack.kind != "gaussian_noise":
+def _round_rng(draws, seed, key):
+    # a stage whose kind draws nothing gets no generator: building one costs
+    # more than most stages
+    if not draws:
         return None
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(t, 1)))
-
-
-def _message_rng(codec, seed, t, device, stage):
-    # only random sparsification draws from its rng; other codecs ignore it
-    if codec.kind != "randk":
-        return None
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(t, device, stage)))
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
 def build_data(config: ExperimentConfig, rep: int = 0):
@@ -193,22 +190,16 @@ def _local_stage(model, shards, est, rule):
     return with_momentum
 
 
-def _uplink(codec, uploads, attack, byz, adv_rng, seed, t):
+def _uplink(codec, uploads, attack, byz, adv_rng, codec_rng):
     """Codec and adversary stages: the ``(m, d)`` vectors the server decodes, and the bytes sent."""
-    if codec.kind == "identity":
-        # dense uploads travel as they are, 8 bytes per coordinate
-        return adversary.corrupt(attack, uploads, byz, adv_rng), 8 * uploads.size
-    msgs = [
-        compression.compress(codec, u, rng=_message_rng(codec, seed, t, i, 0)) for i, u in enumerate(uploads)
-    ]
-    wire = np.array([compression.decompress(msg) for msg in msgs])
-    vectors = adversary.corrupt(attack, wire, byz, adv_rng)
-    # Byzantine devices choose their own wire message; it is emitted in the
-    # run's message format so byte accounting stays uniform.
-    for i in byz:
-        msgs[i] = compression.compress(codec, vectors[i], rng=_message_rng(codec, seed, t, i, 1))
-        vectors[i] = compression.decompress(msgs[i])
-    return vectors, sum(compression.nominal_bytes(msg) for msg in msgs)
+    vectors, kept = compression.encode(codec, uploads, codec_rng)
+    vectors = adversary.corrupt(attack, vectors, byz, adv_rng)
+    if byz and codec.kind != "identity":
+        # Byzantine devices choose their own wire message; it is emitted in the
+        # run's message format, and its bytes replace the honest message's.
+        rows = sorted(byz)
+        vectors[rows], kept[rows] = compression.encode(codec, vectors[rows], codec_rng)
+    return vectors, compression.nominal_bytes(codec, kept)
 
 
 def _run(config: ExperimentConfig, rep: int, algorithm: str) -> list[RoundMetrics]:
@@ -239,8 +230,10 @@ def _run(config: ExperimentConfig, rep: int, algorithm: str) -> list[RoundMetric
     for t in range(config.rounds):
         uploads = local(w)
         byz = adversary.select_byzantine(m, alpha, True, t, adv_seed) if dynamic else static_byz
-        adv_rng = _round_rng(config.attack, adv_seed, t)
-        vectors, bytes_up = _uplink(codec, uploads, config.attack, byz, adv_rng, comp_seed, t)
+        adv_rng = _round_rng(config.attack.kind == "gaussian_noise", adv_seed, (t, 1))
+        # one codec stream per round: every device's upload, then the Byzantine re-encodes
+        codec_rng = _round_rng(codec.kind == "randk", comp_seed, (t,))
+        vectors, bytes_up = _uplink(codec, uploads, config.attack, byz, adv_rng, codec_rng)
         agg_vec = aggregation.aggregate(rule, vectors)
         w_next = project(w - eta * agg_vec, space)
         if not np.all(np.isfinite(w_next)):

@@ -9,9 +9,8 @@ from heavyfed import (
     CompressorSpec,
     DimensionMismatch,
     InvalidConfig,
-    compress,
-    decompress,
     effective_delta,
+    encode,
     nominal_bytes,
 )
 
@@ -23,24 +22,122 @@ def heavy_vectors(count, d, seed):
     return np.vstack([normal, heavy])
 
 
+def encode_row(spec, x, rng=None):
+    """Per-vector reference codec: the decoded row and the count of values it kept."""
+    d = len(x)
+    if spec.kind == "identity":
+        return x.copy(), d
+    if spec.kind == "l1":
+        scale = float(np.abs(x).sum() / d)
+        signs = np.where(x < 0.0, -1, 1).astype(np.int8)  # sign(0) = +1
+        return scale * signs.astype(float), d
+    if spec.kind == "topk":
+        idx = np.sort(np.argsort(-np.abs(x), kind="stable")[: spec.k])  # ties: lowest index
+    else:
+        idx = np.flatnonzero(rng.random(d) < spec.p)
+    out = np.zeros(d)
+    out[idx] = x[idx]
+    return out, len(idx)
+
+
+def encode_rows(spec, U, rng=None):
+    rows = [encode_row(spec, x, rng) for x in U]
+    return np.array([r for r, _ in rows]), np.array([k for _, k in rows])
+
+
+def encode_one(spec, x, rng=None):
+    wire, kept = encode(spec, np.asarray(x, dtype=float)[None, :], rng)
+    return wire[0], int(kept[0])
+
+
+def assert_same_bits(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+class TestEncodeMatchesPerRow:
+    """The batched codec against the per-vector reference, bit for bit."""
+
+    SPECS = [CompressorSpec(), CompressorSpec(kind="topk", k=1), CompressorSpec(kind="topk", k=7), CompressorSpec(kind="l1")]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.kind}-{s.k}")
+    @pytest.mark.parametrize("seed", range(4))
+    def test_heavy_tailed_arrays(self, spec, seed):
+        rng = np.random.default_rng(seed)
+        m, d = int(rng.integers(1, 30)), int(rng.integers(7, 50))
+        U = heavy_vectors(m, d, seed)
+        wire, kept = encode(spec, U)
+        ref_wire, ref_kept = encode_rows(spec, U)
+        assert_same_bits(wire, ref_wire)
+        assert np.array_equal(kept, ref_kept)
+
+    def test_topk_tied_and_all_equal_rows(self):
+        U = np.array([
+            [2.0, -2.0, 2.0, 1.0],
+            [1.0, 1.0, 1.0, 1.0],
+            [-3.0, -3.0, -3.0, -3.0],
+            [0.0, 0.0, 0.0, 0.0],
+            [0.0, -0.0, 5.0, -5.0],
+        ])
+        for k in range(1, 5):
+            spec = CompressorSpec(kind="topk", k=k)
+            wire, kept = encode(spec, U)
+            ref_wire, _ = encode_rows(spec, U)
+            assert_same_bits(wire, ref_wire)
+            assert np.array_equal(kept, np.full(len(U), k))
+
+    def test_topk_with_k_equal_to_dimension_is_lossless(self):
+        U = heavy_vectors(6, 9, seed=11)
+        wire, kept = encode(CompressorSpec(kind="topk", k=9), U)
+        assert_same_bits(wire, U)
+        assert np.array_equal(kept, np.full(6, 9))
+
+    def test_l1_zero_entries_and_all_zero_row(self):
+        U = np.array([
+            [0.0, -2.0, 3.0, 0.0],
+            [0.0, 0.0, 0.0, 0.0],
+            [-0.0, -1.0, -1.0, -1.0],
+        ])
+        spec = CompressorSpec(kind="l1")
+        wire, kept = encode(spec, U)
+        ref_wire, _ = encode_rows(spec, U)
+        assert_same_bits(wire, ref_wire)
+        assert np.array_equal(wire[1], np.zeros(4))
+        assert np.array_equal(kept, np.full(3, 4))
+
+    def test_randk_keeps_exactly_the_drawn_mask_unscaled(self):
+        U = heavy_vectors(12, 30, seed=12)
+        spec = CompressorSpec(kind="randk", p=0.3)
+        wire, kept = encode(spec, U, rng=np.random.default_rng(3))
+        mask = np.random.default_rng(3).random(U.shape) < spec.p
+        assert_same_bits(wire, np.where(mask, U, 0.0))
+        assert np.array_equal(kept, mask.sum(axis=1))
+        # one (m, d) draw is the row-by-row draws of one stream
+        ref_wire, ref_kept = encode_rows(spec, U, rng=np.random.default_rng(3))
+        assert_same_bits(wire, ref_wire)
+        assert np.array_equal(kept, ref_kept)
+
+
 class TestTopK:
     def test_hand_example(self):
-        msg = compress(CompressorSpec(kind="topk", k=2), np.array([3.0, -1.0, 2.0]))
-        assert np.array_equal(decompress(msg), [3.0, 0.0, 2.0])
+        wire, kept = encode_one(CompressorSpec(kind="topk", k=2), [3.0, -1.0, 2.0])
+        assert np.array_equal(wire, [3.0, 0.0, 2.0])
+        assert kept == 2
 
     def test_tie_break_lowest_index(self):
-        msg = compress(CompressorSpec(kind="topk", k=1), np.array([2.0, -2.0, 2.0]))
-        assert np.array_equal(decompress(msg), [2.0, 0.0, 0.0])
+        wire, _ = encode_one(CompressorSpec(kind="topk", k=1), [2.0, -2.0, 2.0])
+        assert np.array_equal(wire, [2.0, 0.0, 0.0])
 
     def test_round_trip_keeps_coordinates_bit_exact(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal(32)
-        msg = compress(CompressorSpec(kind="topk", k=7), x)
-        out = decompress(msg)
-        assert np.array_equal(out[msg.indices], x[msg.indices])
+        wire, kept = encode_one(CompressorSpec(kind="topk", k=7), x)
+        top = np.argsort(-np.abs(x))[:7]
+        assert kept == 7
+        assert np.array_equal(wire[top], x[top])
         mask = np.ones(32, dtype=bool)
-        mask[msg.indices] = False
-        assert np.all(out[mask] == 0.0)
+        mask[top] = False
+        assert np.all(wire[mask] == 0.0)
 
     def test_effective_delta_is_kept_energy_share(self):
         rng = np.random.default_rng(1)
@@ -55,13 +152,15 @@ class TestTopK:
 
     def test_k_larger_than_dimension(self):
         with pytest.raises(InvalidConfig):
-            compress(CompressorSpec(kind="topk", k=5), np.ones(3))
+            encode_one(CompressorSpec(kind="topk", k=5), np.ones(3))
 
 
 class TestIdentity:
     def test_bit_exact(self):
-        x = np.array([0.1, -0.2, 0.3])
-        assert np.array_equal(decompress(compress(CompressorSpec(), x)), x)
+        U = heavy_vectors(4, 5, seed=13)
+        wire, kept = encode(CompressorSpec(), U)
+        assert wire is U  # no copy
+        assert np.array_equal(kept, np.full(4, 5))
 
     def test_delta_is_one(self):
         assert effective_delta(CompressorSpec(), np.array([1.0, 2.0])) == 1.0
@@ -70,21 +169,19 @@ class TestIdentity:
 class TestL1Quant:
     def test_equal_magnitude_is_lossless(self):
         x = np.array([1.0, -1.0, 1.0, -1.0])
-        msg = compress(CompressorSpec(kind="l1"), x)
-        assert msg.scale == 1.0
-        assert np.array_equal(msg.signs, [1, -1, 1, -1])
-        assert np.array_equal(decompress(msg), x)
+        wire, kept = encode_one(CompressorSpec(kind="l1"), x)
+        assert np.array_equal(wire, x)
+        assert kept == 4
 
     def test_sign_of_zero_is_positive(self):
-        msg = compress(CompressorSpec(kind="l1"), np.array([0.0, -2.0]))
-        assert np.array_equal(msg.signs, [1, -1])
-        assert np.array_equal(decompress(msg), [1.0, -1.0])
+        wire, _ = encode_one(CompressorSpec(kind="l1"), [0.0, -2.0])
+        assert np.array_equal(wire, [1.0, -1.0])
 
     def test_round_trip_norm_identity(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal(24)
         d = len(x)
-        out = decompress(compress(CompressorSpec(kind="l1"), x))
+        out, _ = encode_one(CompressorSpec(kind="l1"), x)
         assert np.linalg.norm(out) == pytest.approx(math.sqrt(d) * np.abs(x).sum() / d, rel=1e-12)
 
     def test_effective_delta_closed_form(self):
@@ -98,19 +195,21 @@ class TestL1Quant:
 class TestRandK:
     def test_requires_rng(self):
         with pytest.raises(InvalidConfig):
-            compress(CompressorSpec(kind="randk", p=0.5), np.ones(4))
+            encode_one(CompressorSpec(kind="randk", p=0.5), np.ones(4))
 
     def test_deterministic_given_seed(self):
-        x = np.random.default_rng(4).standard_normal(40)
+        U = np.random.default_rng(4).standard_normal((3, 40))
         spec = CompressorSpec(kind="randk", p=0.3)
-        a = decompress(compress(spec, x, rng=np.random.default_rng(99)))
-        b = decompress(compress(spec, x, rng=np.random.default_rng(99)))
+        a, _ = encode(spec, U, rng=np.random.default_rng(99))
+        b, _ = encode(spec, U, rng=np.random.default_rng(99))
         assert np.array_equal(a, b)
 
     def test_kept_coordinates_unscaled(self):
         x = np.random.default_rng(5).standard_normal(40)
-        msg = compress(CompressorSpec(kind="randk", p=0.5), x, rng=np.random.default_rng(1))
-        assert np.array_equal(msg.values, x[msg.indices])
+        wire, kept = encode_one(CompressorSpec(kind="randk", p=0.5), x, rng=np.random.default_rng(1))
+        nonzero = wire != 0.0
+        assert np.array_equal(wire[nonzero], x[nonzero])
+        assert kept == np.count_nonzero(nonzero)
 
     def test_expected_contract(self):
         # E ||Q(x) - x||^2 = (1 - p) ||x||^2; allow 3 / sqrt(trials) slack
@@ -119,7 +218,7 @@ class TestRandK:
         trials = 1000
         errors = []
         for t in range(trials):
-            q = decompress(compress(spec, x, rng=np.random.default_rng(t)))
+            q, _ = encode_one(spec, x, rng=np.random.default_rng(t))
             errors.append(float(np.sum((q - x) ** 2)))
         bound = (1.0 - spec.p) * float(x @ x) * (1.0 + 3.0 / math.sqrt(trials))
         assert np.mean(errors) <= bound
@@ -127,22 +226,55 @@ class TestRandK:
 
 class TestBytes:
     def test_nominal_identity(self):
-        msg = compress(CompressorSpec(), np.zeros(10))
-        assert nominal_bytes(msg) == 80
+        spec = CompressorSpec()
+        _, kept = encode(spec, np.zeros((3, 10)))
+        assert nominal_bytes(spec, kept) == 240
 
     def test_nominal_topk(self):
-        msg = compress(CompressorSpec(kind="topk", k=5), np.arange(10.0))
-        assert nominal_bytes(msg) == 60
+        spec = CompressorSpec(kind="topk", k=5)
+        _, kept = encode(spec, np.arange(20.0).reshape(2, 10))
+        assert nominal_bytes(spec, kept) == 120
 
     def test_nominal_l1(self):
-        msg = compress(CompressorSpec(kind="l1"), np.ones(16))
-        assert nominal_bytes(msg) == 10
+        spec = CompressorSpec(kind="l1")
+        _, kept = encode(spec, np.ones((3, 16)))
+        assert nominal_bytes(spec, kept) == 3 * 10
+        _, kept = encode(spec, np.ones((2, 17)))
+        assert nominal_bytes(spec, kept) == 2 * (8 + 3)
 
     def test_topk_half_halves_payload(self):
-        x = np.random.default_rng(7).standard_normal(10)
-        dense = compress(CompressorSpec(), x)
-        sparse = compress(CompressorSpec(kind="topk", k=5), x)
-        assert sparse.values.size * 2 == dense.values.size
+        U = np.random.default_rng(7).standard_normal((4, 10))
+        _, dense = encode(CompressorSpec(), U)
+        _, sparse = encode(CompressorSpec(kind="topk", k=5), U)
+        assert sparse.sum() * 2 == dense.sum()
+
+    def test_randk_kept_zero_still_costs_a_value(self):
+        # p = 1 keeps every coordinate: zeros in the input are sent and paid for
+        spec = CompressorSpec(kind="randk", p=1.0)
+        U = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+        wire, kept = encode(spec, U, rng=np.random.default_rng(0))
+        assert np.count_nonzero(wire) == 1
+        assert np.array_equal(kept, [3, 3])
+        assert nominal_bytes(spec, kept) == 12 * 6
+
+
+class TestEffectiveDeltaPerRow:
+    @pytest.mark.parametrize("spec", [CompressorSpec(kind="topk", k=6), CompressorSpec(kind="l1"), CompressorSpec()],
+                             ids=lambda s: s.kind)
+    def test_rows_equal_vector_calls(self, spec):
+        U = heavy_vectors(25, 20, seed=15)
+        U[3] = 0.0
+        per_row = effective_delta(spec, U)
+        assert per_row.shape == (25,)
+        assert np.array_equal(per_row, [effective_delta(spec, x) for x in U])
+        assert per_row[3] == 1.0
+
+    def test_randk_rows_equal_vector_calls_on_one_stream(self):
+        U = heavy_vectors(25, 20, seed=16)
+        spec = CompressorSpec(kind="randk", p=0.4)
+        per_row = effective_delta(spec, U, rng=np.random.default_rng(8))
+        rng = np.random.default_rng(8)
+        assert np.array_equal(per_row, [effective_delta(spec, x, rng=rng) for x in U])
 
 
 class TestContracts:
@@ -178,9 +310,17 @@ class TestValidation:
         with pytest.raises(InvalidConfig):
             CompressorSpec(kind="randk", p=0.0)
 
-    def test_non_vector_input(self):
+    @pytest.mark.parametrize("shape", [(5,), (2, 2, 2), (0, 4), (3, 0), ()])
+    @pytest.mark.parametrize("kind", ["identity", "topk", "randk", "l1"])
+    def test_non_2d_or_empty_input(self, shape, kind):
         with pytest.raises(DimensionMismatch):
-            compress(CompressorSpec(), np.zeros((2, 2)))
+            encode(CompressorSpec(kind=kind), np.zeros(shape), rng=np.random.default_rng(0))
+
+    def test_non_vector_input(self):
+        # effective_delta takes a vector or an (m, d) array, nothing else
+        for shape in [(), (2, 2, 2), (0,)]:
+            with pytest.raises(DimensionMismatch):
+                effective_delta(CompressorSpec(), np.zeros(shape))
 
     def test_declared_deltas(self):
         assert CompressorSpec().declared_delta(10) == 1.0

@@ -17,8 +17,10 @@ from heavyfed import (
     run,
     run_baseline,
     run_compressed_gd,
+    run_experiment,
     run_robust_gd,
 )
+from heavyfed.adversary import ATTACK_KINDS
 from heavyfed.datagen import partition
 from heavyfed.engine import stream_seed
 
@@ -293,6 +295,77 @@ class TestCompressedRun:
         })
         assert run_compressed_gd(cfg) == run_compressed_gd(cfg)
 
+    @pytest.mark.parametrize("dynamic", [False, True])
+    @pytest.mark.parametrize("attack", ATTACK_KINDS)
+    def test_byzantine_bytes_replace_honest_bytes(self, attack, dynamic):
+        base = {
+            "experiment.algorithm": "robust_compressed",
+            "experiment.rounds": 4,
+            "data.devices": 10,
+            "data.samples_per_device": 20,
+            "attack.kind": attack,
+            "attack.alpha": 0.3,
+            "attack.dynamic": dynamic,
+        }
+        topk = tiny_config(**base, **{"compressor.kind": "topk", "compressor.k": 3})
+        l1 = tiny_config(**base, **{"compressor.kind": "l1"})
+        m, d = topk.devices, topk.dimension
+        assert [rm.bytes_up for rm in run_compressed_gd(topk)[1:]] == [12 * 3 * m] * 4
+        assert [rm.bytes_up for rm in run_compressed_gd(l1)[1:]] == [m * (8 + math.ceil(d / 8))] * 4
+
+    @pytest.mark.parametrize("kind", ["randk", "topk", "l1", "identity"])
+    def test_nominal_bytes_calls_add_up_to_total_bytes(self, monkeypatch, tmp_path, kind):
+        # the invariant a traced benchmark run checks: every byte is priced
+        # by one call to compression.nominal_bytes, looked up on the module
+        from heavyfed import compression
+
+        priced = []
+        original = compression.nominal_bytes
+
+        def summing(*args, **kwargs):
+            result = original(*args, **kwargs)
+            priced.append(int(result))
+            return result
+
+        monkeypatch.setattr(compression, "nominal_bytes", summing)
+        cfg = tiny_config(**{
+            "experiment.algorithm": "robust_compressed",
+            "experiment.rounds": 5,
+            "experiment.repetitions": 2,
+            "compressor.kind": kind,
+            "compressor.p": 0.3,
+            "attack.kind": "mean_shift",
+            "attack.alpha": 0.2,
+            "attack.dynamic": True,
+        })
+        summary = run_experiment(cfg, out_dir=tmp_path)
+        assert len(priced) == 2 * 5
+        assert sum(priced) == summary.total_bytes > 0
+
+    def test_one_codec_stream_per_round(self, monkeypatch):
+        from heavyfed import compression
+
+        calls = []
+        original = compression.encode
+
+        def recording(spec, uploads, rng=None):
+            calls.append((len(uploads), rng))
+            return original(spec, uploads, rng)
+
+        monkeypatch.setattr(compression, "encode", recording)
+        run_compressed_gd(tiny_config(**{
+            "experiment.algorithm": "robust_compressed",
+            "experiment.rounds": 3,
+            "compressor.kind": "randk",
+            "compressor.p": 0.5,
+            "attack.kind": "sign_flip",
+            "attack.alpha": 0.2,
+        }))
+        # each round: every device's upload, then the Byzantine re-encode, one generator
+        assert [rows for rows, _ in calls] == [5, 1] * 3
+        rngs = [rng for _, rng in calls]
+        assert all(rngs[i] is rngs[i + 1] for i in (0, 2, 4))
+        assert len({id(rng) for rng in rngs[::2]}) == 3
 
 class TestDispatchAndSeeds:
     def test_run_dispatches_on_algorithm(self):

@@ -57,7 +57,7 @@ GOLDEN = {
     "baseline-mkrum": "f5e27796d993278f69280284fe184edbd5a0f32c58c84def1002dbda778f8afe",
     "compressed-identity": "2582fe98c517f40b8513e6ce8c35c359320f9dbea996ab8861f5795f009d509d",
     "compressed-l1": "eda82fe9b8bece1b785f20afca0ef69b922bf719d7f9056d73211d2f00f07969",
-    "compressed-randk": "fe75f37d3dcda4284bbaa030383a060717a190a7ef19aa5adbb0137fd28d0d38",
+    "compressed-randk": "60d73d35e485065406b8de2568ab04bcf953a59476acf2b03a5bc5693964c7b6",
     "compressed-topk": "f0fc4498f9a660dfc8462a77a41814f7b5d38b357f5e88e0783a19ce0773bd6c",
     "robust": "26548e6c615dd6d2311d550d1494ea96d1e0343a8276205104226757bf410ad8",
     "robust-logistic-dynamic": "671b9b9aea2053a4a1e20d49a6922510034aacb6e035963f2210ea37a8c41031",
