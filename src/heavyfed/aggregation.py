@@ -133,15 +133,19 @@ def _sq_distances(U):
     return np.sum((U[:, None, :] - U[None, :, :]) ** 2, axis=2)
 
 
-def _krum_scores(sq, f, min_neighbours=0):
-    # Sum of squared distances to the m - f - 2 nearest peers, from the
-    # (m, m) squared-distance matrix.  Small pools inside bulyan keep at
-    # least min_neighbours so the scores stay distance-based (an all-zero
-    # score vector would make the pick depend on input order).
-    # sq[i, i] = 0 is the minimum of row i, so after a row sort the peers
-    # start at column 1.
-    m = sq.shape[0]
-    keep = min(max(m - f - 2, min_neighbours), m - 1)
+def _neighbour_count(p, f, floor=0):
+    # Peers a krum score sums over in a pool of p: the p - f - 2 nearest, at
+    # least `floor` of them, and never more than the p - 1 there are.  Bulyan's
+    # late, small pools use floor 1 so the scores stay distance-based (an
+    # all-zero score vector would make the pick depend on input order).
+    return min(max(p - f - 2, floor), p - 1)
+
+
+def _krum_scores(sq, f):
+    # Sum of squared distances to the nearest peers, from the (m, m)
+    # squared-distance matrix.  sq[i, i] = 0 is the minimum of row i, so
+    # after a row sort the peers start at column 1.
+    keep = _neighbour_count(sq.shape[0], f)
     return np.sort(sq, axis=1)[:, 1 : keep + 1].sum(axis=1)
 
 
@@ -155,30 +159,55 @@ def krum(vectors, f: int = 0) -> np.ndarray:
     return U[int(np.argmin(_krum_scores(_sq_distances(U), f)))].copy()
 
 
+def _bulyan_picks(U, f):
+    """Indices of the m - 2f uploads that repeated krum picks select, in pick
+    order, or None once a live score is NaN (no pick is defined then)."""
+    m = U.shape[0]
+    sq = _sq_distances(U)
+    # Each row is sorted once.  A pick deletes its column from every row, so
+    # a row's remaining entries stay sorted, and its score sums the same
+    # values, in the same order, as a re-sort of the pool's sub-matrix would.
+    cols = np.argsort(sq, axis=1)
+    vals = np.take_along_axis(sq, cols, axis=1)
+    picked = np.zeros(m, dtype=bool)
+    chosen = []
+    for p in range(m, 2 * f, -1):
+        keep = _neighbour_count(p, f, floor=1)
+        scores = vals[:, 1 : keep + 1].sum(axis=1)
+        scores[picked] = np.inf
+        best = scores.min()
+        if np.isnan(best):
+            return None
+        tied = np.flatnonzero(scores == best)
+        # exact score ties are structural in small pools (mutual nearest
+        # neighbours); the lexicographically smallest vector wins, the lowest
+        # index among equal ones, so the pick does not depend on input order
+        pick = int(tied[np.lexsort(U[tied].T[::-1])[0]]) if tied.size > 1 else int(tied[0])
+        chosen.append(pick)
+        picked[pick] = True
+        others = cols != pick
+        cols = cols[others].reshape(m, p - 1)
+        vals = vals[others].reshape(m, p - 1)
+    return chosen
+
+
 def bulyan(vectors, f: int = 0) -> np.ndarray:
     """Krum-select m - 2f uploads, then average the m - 4f values closest to
-    the coordinate median of the selection."""
+    the coordinate median of the selection.
+
+    A NaN score (a NaN upload, or an infinite one once it is scored against
+    itself) leaves no pick defined; the aggregate is then NaN, which the
+    engine reports as a diverged round.
+    """
     U = _as_matrix(vectors)
     m = U.shape[0]
     if f < 0:
         raise InvalidConfig(f"f must be >= 0, got {f}")
     if m < 4 * f + 3:
         raise TooFewVectors(f"bulyan needs at least 4f + 3 = {4 * f + 3} vectors, got {m}")
-    # every pool's distances are entries of the full matrix
-    sq = _sq_distances(U)
-    pool = list(range(m))
-    chosen = []
-    while len(chosen) < m - 2 * f:
-        if len(pool) == 1:
-            pick = 0
-        else:
-            scores = _krum_scores(sq[np.ix_(pool, pool)], f, min_neighbours=1)
-            best = np.flatnonzero(scores == scores.min())
-            # exact score ties are structural in tiny pools (mutual nearest
-            # neighbours); break them by vector value so the selected set
-            # does not depend on input order
-            pick = int(min(best, key=lambda j: tuple(U[pool[j]])))
-        chosen.append(pool.pop(pick))
+    chosen = _bulyan_picks(U, f)
+    if chosen is None:
+        return np.full(U.shape[1], np.nan)
     selected = U[chosen]
     median = np.median(selected, axis=0)
     keep = selected.shape[0] - 2 * f

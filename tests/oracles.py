@@ -103,3 +103,29 @@ def stacked_shards(model, m=3, n=20, seed=5):
     else:
         y = rng.choice([-1.0, 1.0], size=(m, n))
     return Dataset(X, y), rng.standard_normal(model.dim)
+
+
+def bulyan_reference(vectors, f):
+    """Bulyan as first written: each of the m - 2f krum picks re-sorts the
+    pool's squared-distance sub-matrix, and exact score ties go to the
+    smallest vector by Python tuple order.  Finite inputs only."""
+    U = np.asarray(vectors, dtype=float)
+    m = U.shape[0]
+    sq = np.sum((U[:, None, :] - U[None, :, :]) ** 2, axis=2)
+    pool = list(range(m))
+    chosen = []
+    while len(chosen) < m - 2 * f:
+        if len(pool) == 1:
+            pick = 0
+        else:
+            p = len(pool)
+            keep = min(max(p - f - 2, 1), p - 1)
+            scores = np.sort(sq[np.ix_(pool, pool)], axis=1)[:, 1 : keep + 1].sum(axis=1)
+            best = np.flatnonzero(scores == scores.min())
+            pick = int(min(best, key=lambda j: tuple(U[pool[j]])))
+        chosen.append(pool.pop(pick))
+    selected = U[chosen]
+    median = np.median(selected, axis=0)
+    keep = selected.shape[0] - 2 * f
+    order = np.argsort(np.abs(selected - median), axis=0, kind="stable")
+    return np.take_along_axis(selected, order[:keep], axis=0).mean(axis=0)

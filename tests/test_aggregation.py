@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heavyfed import (
@@ -17,6 +17,7 @@ from heavyfed import (
     norm_trimmed_mean,
 )
 from heavyfed.aggregation import trim_count
+from oracles import bulyan_reference
 
 
 def vec(*values):
@@ -189,6 +190,72 @@ class TestBulyan:
     def test_too_few(self):
         with pytest.raises(TooFewVectors):
             bulyan(random_vectors(0, m=6), f=1)  # needs 4f + 3 = 7
+
+    @pytest.mark.parametrize("where", ["row", "entry"])
+    def test_nan_upload_gives_nan_aggregate(self, where):
+        U = np.array(random_vectors(2, m=11, d=3))
+        if where == "row":
+            U[4] = np.nan
+        else:
+            U[4, 1] = np.nan
+        for f in (0, 1, 2):
+            assert np.all(np.isnan(bulyan(U, f)))
+
+    def test_inf_upload_scored_against_itself_gives_nan_aggregate(self):
+        # with f = 0 every upload is picked, and the inf row's score comes to
+        # include its own distance inf - inf = nan
+        U = np.array(random_vectors(3, m=5, d=3))
+        U[1] = np.inf
+        assert np.all(np.isnan(bulyan(U, 0)))
+
+    def test_inf_upload_outvoted_when_f_allows(self):
+        # the inf row scores inf and is never among the m - 2f picks
+        U = np.array(random_vectors(3, m=7, d=3))
+        U[1] = -np.inf
+        out = bulyan(U, 1)
+        assert np.all(np.isfinite(out))
+        finite = np.delete(U, 1, axis=0)
+        assert np.all(out >= finite.min(axis=0)) and np.all(out <= finite.max(axis=0))
+
+
+def bulyan_case(kind, seed, m, d):
+    """Upload arrays that stress bulyan's selection: plain gaussian rows,
+    rounded rows full of exact score ties, duplicated rows, and a block of
+    identical sign-flipped rows."""
+    rng = np.random.default_rng(seed)
+    U = rng.standard_normal((m, d))
+    if kind == "rounded":
+        return np.round(U * rng.integers(1, 3))
+    if kind == "duplicates":
+        return U[rng.integers(0, max(1, m // 3), size=m)]
+    if kind == "sign_flip":
+        nb = int(rng.integers(0, m // 2 + 1))
+        U[:nb] = -5.0 * U[nb:].mean(axis=0)
+    return U
+
+
+@st.composite
+def bulyan_sizes(draw):
+    m = draw(st.integers(3, 60))
+    return m, draw(st.integers(0, (m - 3) // 4))
+
+
+class TestBulyanMatchesReference:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        kind=st.sampled_from(["gaussian", "rounded", "duplicates", "sign_flip"]),
+        seed=st.integers(0, 2**32 - 1),
+        size=bulyan_sizes(),
+        d=st.integers(1, 8),
+    )
+    @example(kind="sign_flip", seed=0, size=(40, 8), d=10)
+    @example(kind="rounded", seed=1, size=(60, 14), d=2)
+    @example(kind="duplicates", seed=2, size=(7, 1), d=3)
+    @example(kind="rounded", seed=3, size=(3, 0), d=1)
+    def test_byte_identical(self, kind, seed, size, d):
+        m, f = size
+        U = bulyan_case(kind, seed, m, d)
+        assert bulyan(U, f).tobytes() == bulyan_reference(U, f).tobytes()
 
 
 class TestMean:

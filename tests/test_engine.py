@@ -18,6 +18,7 @@ from heavyfed import (
     run_baseline,
     run_compressed_gd,
     run_experiment,
+    run_repetitions,
     run_robust_gd,
 )
 from heavyfed.adversary import ATTACK_KINDS
@@ -203,6 +204,28 @@ class TestBaselines:
         with pytest.raises(NonFiniteState) as err:
             run_baseline(cfg)
         assert err.value.round_index == 0
+
+    def test_nan_upload_under_bulyan_is_a_recorded_divergence(self, monkeypatch):
+        from heavyfed import adversary
+
+        original = adversary.corrupt
+
+        def corrupt_with_nan(attack, uploads, byz, rng):
+            out = original(attack, uploads, byz, rng).copy()
+            out[0, 0] = np.nan
+            return out
+
+        monkeypatch.setattr(adversary, "corrupt", corrupt_with_nan)
+        cfg = tiny_config(**{
+            "experiment.algorithm": "baseline",
+            "experiment.repetitions": 2,
+            "data.devices": 8,
+            "aggregator.kind": "bulyan",
+            "attack.alpha": 0.125,
+        })
+        runs, summary = run_repetitions(cfg)
+        assert runs == [None, None]
+        assert summary.failed == [(0, 0), (1, 0)]
 
 
 class TestByzantineSets:
