@@ -36,7 +36,7 @@ from .datagen import (
 )
 from .errors import InvalidConfig, NonFiniteState
 from .estimator import robust_gradient
-from .losses import LossModel, empirical_risk, per_sample_gradients
+from .losses import LossModel, empirical_risk, mean_gradients, per_sample_gradients
 
 
 @dataclass(frozen=True)
@@ -175,7 +175,9 @@ def _local_stage(model, shards, est, rule):
         return lambda w: robust_gradient(model, w, shards, est)
 
     def shard_means(w):
-        return per_sample_gradients(model, w, shards).mean(axis=-2)
+        if model.kind == "mlp":
+            return per_sample_gradients(model, w, shards).mean(axis=-2)
+        return mean_gradients(model, w, shards)
 
     if rule.kind != "mkrum":
         return shard_means

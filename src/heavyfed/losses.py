@@ -127,6 +127,14 @@ def per_sample_losses(model: LossModel, w, data: Dataset) -> np.ndarray:
     return np.logaddexp(0.0, -y * out)
 
 
+def _margin_weights(model, w, X, y):
+    # linear and logistic losses depend on a sample only through x . w, so
+    # each per-sample gradient is x times the loss's derivative at x . w
+    if model.kind == "linear":
+        return X @ w - y
+    return -y * _sigmoid(-y * (X @ w))
+
+
 def per_sample_gradients(model: LossModel, w, data: Dataset) -> np.ndarray:
     """Per-sample loss gradients, one row per sample: ``(..., n, dim)`` for
     features ``(..., n, p)``."""
@@ -134,10 +142,8 @@ def per_sample_gradients(model: LossModel, w, data: Dataset) -> np.ndarray:
         raise EmptyInput("per_sample_gradients needs a non-empty dataset")
     w = _check(model, w, data)
     X, y = data.features, data.labels
-    if model.kind == "linear":
-        return (X @ w - y)[..., None] * X
-    if model.kind == "logistic":
-        return (-y * _sigmoid(-y * (X @ w)))[..., None] * X
+    if model.kind != "mlp":
+        return _margin_weights(model, w, X, y)[..., None] * X
     w1, b1, w2, b2 = _unpack_mlp(model, w)
     hid = np.tanh(X @ w1.T + b1)
     out = hid @ w2 + b2
@@ -148,6 +154,24 @@ def per_sample_gradients(model: LossModel, w, data: Dataset) -> np.ndarray:
     back = err[..., None] * (w2 * (1.0 - hid**2))
     g_w1 = (back[..., :, None] * X[..., None, :]).reshape(*X.shape[:-1], -1)
     return np.concatenate([g_w1, back, err[..., None] * hid, err[..., None]], axis=-1)
+
+
+def mean_gradients(model: LossModel, w, data: Dataset) -> np.ndarray:
+    """Mean loss gradient of each stacked shard, ``(..., dim)`` for features
+    ``(..., n, p)``, for linear and logistic models.
+
+    One batched product of the per-sample weights with the features; it
+    equals ``per_sample_gradients(...).mean(axis=-2)`` up to summation order,
+    without building the ``(..., n, dim)`` tensor.
+    """
+    if model.kind == "mlp":
+        raise InvalidConfig("mean_gradients covers linear and logistic models; average per_sample_gradients for mlp")
+    if len(data) == 0:
+        raise EmptyInput("mean_gradients needs a non-empty dataset")
+    w = _check(model, w, data)
+    X, y = data.features, data.labels
+    c = _margin_weights(model, w, X, y)
+    return np.matmul(c[..., None, :], X)[..., 0, :] / len(data)
 
 
 def per_sample_gradient(model: LossModel, w, z) -> np.ndarray:

@@ -23,7 +23,10 @@ from heavyfed import (
 )
 from heavyfed.adversary import ATTACK_KINDS
 from heavyfed.datagen import partition
+from heavyfed.aggregation import AggregatorSpec
 from heavyfed.engine import stream_seed
+from heavyfed.losses import mean_gradients
+from oracles import STACKED_MODELS, stacked_shards
 
 
 def tiny_config(**overrides):
@@ -226,6 +229,37 @@ class TestBaselines:
         runs, summary = run_repetitions(cfg)
         assert runs == [None, None]
         assert summary.failed == [(0, 0), (1, 0)]
+
+
+class TestLocalStage:
+    @pytest.mark.parametrize("model", STACKED_MODELS, ids=lambda m: f"{m.kind}-{m.objective}")
+    def test_mkrum_momentum_averages_the_plain_shard_means(self, monkeypatch, model):
+        from heavyfed import engine
+
+        calls = []
+        original = engine.per_sample_gradients
+
+        def counted(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(engine, "per_sample_gradients", counted)
+        shards, w1 = stacked_shards(model)
+        w2 = 0.5 * w1
+        plain = engine._local_stage(model, shards, None, AggregatorSpec("mean"))
+        momentum = engine._local_stage(model, shards, None, AggregatorSpec("mkrum", momentum=0.75))
+        mean1, mean2 = plain(w1), plain(w2)
+        first = momentum(w1).copy()
+        second = momentum(w2)
+        assert np.array_equal(first, (1.0 - 0.75) * mean1)
+        assert np.array_equal(second, 0.75 * first + (1.0 - 0.75) * mean2)
+        if model.kind == "mlp":
+            # mlp has no batched mean: both stages average its per-sample gradients
+            assert np.array_equal(mean1, original(model, w1, shards).mean(axis=-2))
+            assert len(calls) == 4
+        else:
+            assert np.array_equal(mean1, mean_gradients(model, w1, shards))
+            assert calls == []
 
 
 class TestByzantineSets:

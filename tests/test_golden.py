@@ -50,11 +50,11 @@ CASES = {
 }
 
 GOLDEN = {
-    "baseline-bulyan": "eba92153f873961bb0be1b231a1cb3a4911e9343a0424703effec58883ff3396",
-    "baseline-gaussian-dynamic": "60a2118cba32e273f9aafd4ed0edb913ce780d39047107666c98df6000d740e6",
-    "baseline-krum": "4256b5a50b0bec05b59e5c3ebd7e6c59998b57f5846c56e4e71a172eab0703a2",
-    "baseline-mean": "c200d294dedabffcaeba4ab9a79d2eb2b3db3d106ea7e25291a212d9aad23ff8",
-    "baseline-mkrum": "f5e27796d993278f69280284fe184edbd5a0f32c58c84def1002dbda778f8afe",
+    "baseline-bulyan": "50514a8197c7c0ec78eef043090aca52ce41201b3d64938b4040c1823597e768",
+    "baseline-gaussian-dynamic": "1079e10d23e5024144feaa6cda858b55bcf0cd0dc9fd751561cc78169825f532",
+    "baseline-krum": "d390c01c92f7fe5c7c941fbf2525084faa3815f8ab2077e2e8a84c230b3db358",
+    "baseline-mean": "506f878d2c365c31ba5187e54493a9b3a0fcb6948cdbddf45cfd98575cfc8d71",
+    "baseline-mkrum": "dcac7469a2bd9d24fe5ac4f00ff4f4692c69fc5ce6b44dc2d6ba85b364c1e03f",
     "compressed-identity": "2582fe98c517f40b8513e6ce8c35c359320f9dbea996ab8861f5795f009d509d",
     "compressed-l1": "eda82fe9b8bece1b785f20afca0ef69b922bf719d7f9056d73211d2f00f07969",
     "compressed-randk": "60d73d35e485065406b8de2568ab04bcf953a59476acf2b03a5bc5693964c7b6",

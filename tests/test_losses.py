@@ -15,6 +15,7 @@ from heavyfed import (
     per_sample_loss,
     per_sample_losses,
 )
+from heavyfed.losses import mean_gradients
 from oracles import STACKED_MODELS, stacked_shards
 
 
@@ -181,3 +182,29 @@ class TestStackedShards:
         )
         assert batched.shape == (3, 20, model.dim)
         assert np.array_equal(batched, per_shard)
+
+
+class TestMeanGradients:
+    @pytest.mark.parametrize("model", STACKED_MODELS[:2], ids=lambda m: m.kind)
+    @pytest.mark.parametrize("seed", [5, 6, 7])
+    def test_matches_mean_of_per_sample_gradients(self, model, seed):
+        shards, w = stacked_shards(model, m=4, n=50, seed=seed)
+        G = per_sample_gradients(model, w, shards)
+        out = mean_gradients(model, w, shards)
+        assert out.shape == (4, model.dim)
+        # only the summation order differs, so the error is measured against
+        # the size of the terms summed (the means themselves may cancel)
+        assert np.all(np.abs(out - G.mean(axis=-2)) <= 1e-13 * np.abs(G).mean(axis=-2))
+
+    def test_single_shard(self):
+        model = LossModel("linear", 2)
+        data = Dataset(np.array([[1.0, 1.0], [2.0, 0.0]]), np.array([3.0, 1.0]))
+        # residuals x . w - y are -2 and 1
+        assert np.array_equal(mean_gradients(model, np.array([1.0, 0.0]), data), [0.0, -1.0])
+
+    def test_rejects_mlp_and_empty_shards(self):
+        shards, w = stacked_shards(STACKED_MODELS[2])
+        with pytest.raises(InvalidConfig):
+            mean_gradients(STACKED_MODELS[2], w, shards)
+        with pytest.raises(EmptyInput):
+            mean_gradients(LossModel("linear", 2), np.zeros(2), Dataset(np.zeros((3, 0, 2)), np.zeros((3, 0))))
