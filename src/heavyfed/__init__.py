@@ -69,9 +69,7 @@ from .losses import (
     Dataset,
     LossModel,
     empirical_risk,
-    per_sample_gradient,
     per_sample_gradients,
-    per_sample_loss,
     per_sample_losses,
 )
 from .runner import RunSummary, run_experiment, run_repetitions, sweep

@@ -174,20 +174,6 @@ def mean_gradients(model: LossModel, w, data: Dataset) -> np.ndarray:
     return np.matmul(c[..., None, :], X)[..., 0, :] / len(data)
 
 
-def per_sample_gradient(model: LossModel, w, z) -> np.ndarray:
-    """Gradient of the loss at a single sample ``z = (x, y)``."""
-    x, y = z
-    single = Dataset(np.atleast_2d(np.asarray(x, dtype=float)), np.array([y], dtype=float))
-    return per_sample_gradients(model, w, single)[0]
-
-
-def per_sample_loss(model: LossModel, w, z) -> float:
-    """Loss at a single sample ``z = (x, y)``."""
-    x, y = z
-    single = Dataset(np.atleast_2d(np.asarray(x, dtype=float)), np.array([y], dtype=float))
-    return float(per_sample_losses(model, w, single)[0])
-
-
 def empirical_risk(model: LossModel, w, data: Dataset) -> float:
     """Mean per-sample loss over the dataset."""
     if len(data) == 0:

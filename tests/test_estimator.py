@@ -17,7 +17,7 @@ from heavyfed import (
     TRUNCATION_CAP,
     continuity_constant,
     default_params,
-    per_sample_gradient,
+    per_sample_gradients,
     robust_gradient,
     robust_scalar_mean,
     smoothed_truncate,
@@ -263,7 +263,7 @@ class TestRobustGradient:
         model = LossModel("linear", 5)
         w = rng.standard_normal(5)
         data = Dataset(rng.standard_normal((1, 5)), rng.standard_normal(1))
-        grad = per_sample_gradient(model, w, (data.features[0], data.labels[0]))
+        grad = per_sample_gradients(model, w, data)[0]
         params = make_params(100.0 * float(np.abs(grad).max()), 9.0)
         out = robust_gradient(model, w, data, params)
         assert np.allclose(out, grad, rtol=0.01)

@@ -10,22 +10,25 @@ from heavyfed import (
     InvalidConfig,
     LossModel,
     empirical_risk,
-    per_sample_gradient,
     per_sample_gradients,
-    per_sample_loss,
     per_sample_losses,
 )
 from heavyfed.losses import mean_gradients
 from oracles import STACKED_MODELS, stacked_shards
 
 
-def finite_difference(model, w, z, step=1e-5):
+def one_row(x, y):
+    """The one-sample dataset holding ``(x, y)``."""
+    return Dataset(np.atleast_2d(np.asarray(x, dtype=float)), np.array([y], dtype=float))
+
+
+def finite_difference(model, w, sample, step=1e-5):
     grad = np.empty(model.dim)
     for k in range(model.dim):
         hi, lo = w.copy(), w.copy()
         hi[k] += step
         lo[k] -= step
-        grad[k] = (per_sample_loss(model, hi, z) - per_sample_loss(model, lo, z)) / (2 * step)
+        grad[k] = (per_sample_losses(model, hi, sample)[0] - per_sample_losses(model, lo, sample)[0]) / (2 * step)
     return grad
 
 
@@ -36,38 +39,38 @@ def random_case(model, rng):
         y = rng.standard_normal()
     else:
         y = rng.choice([-1.0, 1.0])
-    return w, (x, y)
+    return w, one_row(x, y)
 
 
 class TestLinear:
     def test_zero_everything(self):
         model = LossModel("linear", 3)
-        out = per_sample_gradient(model, np.zeros(3), (np.array([1.0, 2.0, 3.0]), 0.0))
+        out = per_sample_gradients(model, np.zeros(3), one_row([1.0, 2.0, 3.0], 0.0))[0]
         assert np.all(out == 0.0)
 
     def test_hand_computed(self):
         model = LossModel("linear", 2)
-        out = per_sample_gradient(model, np.array([1.0, 0.0]), (np.array([1.0, 1.0]), 3.0))
+        out = per_sample_gradients(model, np.array([1.0, 0.0]), one_row([1.0, 1.0], 3.0))[0]
         assert np.allclose(out, [-2.0, -2.0])
 
     def test_loss_value(self):
         model = LossModel("linear", 2)
-        assert per_sample_loss(model, np.array([1.0, 0.0]), (np.array([1.0, 1.0]), 3.0)) == pytest.approx(2.0)
+        assert per_sample_losses(model, np.array([1.0, 0.0]), one_row([1.0, 1.0], 3.0))[0] == pytest.approx(2.0)
 
 
 class TestLogistic:
     def test_zero_margin(self):
         model = LossModel("logistic", 3)
         x = np.array([0.5, -1.0, 2.0])
-        out = per_sample_gradient(model, np.zeros(3), (x, 1.0))
+        out = per_sample_gradients(model, np.zeros(3), one_row(x, 1.0))[0]
         assert np.allclose(out, -x / 2.0)
-        assert per_sample_loss(model, np.zeros(3), (x, 1.0)) == pytest.approx(math.log(2.0))
+        assert per_sample_losses(model, np.zeros(3), one_row(x, 1.0))[0] == pytest.approx(math.log(2.0))
 
     def test_extreme_margin_is_stable(self):
         model = LossModel("logistic", 1)
-        out = per_sample_gradient(model, np.array([1000.0]), (np.array([1.0]), 1.0))
+        out = per_sample_gradients(model, np.array([1000.0]), one_row([1.0], 1.0))[0]
         assert np.all(np.isfinite(out))
-        assert per_sample_loss(model, np.array([1000.0]), (np.array([1.0]), -1.0)) == pytest.approx(1000.0)
+        assert per_sample_losses(model, np.array([1000.0]), one_row([1.0], -1.0))[0] == pytest.approx(1000.0)
 
 
 class TestGradientConsistency:
@@ -84,9 +87,9 @@ class TestGradientConsistency:
     def test_matches_finite_differences(self, model):
         rng = np.random.default_rng(42)
         for _ in range(100):
-            w, z = random_case(model, rng)
-            exact = per_sample_gradient(model, w, z)
-            approx = finite_difference(model, w, z)
+            w, sample = random_case(model, rng)
+            exact = per_sample_gradients(model, w, sample)[0]
+            approx = finite_difference(model, w, sample)
             denom = max(float(np.linalg.norm(approx)), 1e-8)
             assert np.linalg.norm(exact - approx) / denom <= 1e-4
 
@@ -100,9 +103,9 @@ class TestConvexity:
             w1 = rng.standard_normal(4)
             w2 = rng.standard_normal(4)
             lam = rng.random()
-            _, z = random_case(model, rng)
-            mixed = per_sample_loss(model, lam * w1 + (1 - lam) * w2, z)
-            bound = lam * per_sample_loss(model, w1, z) + (1 - lam) * per_sample_loss(model, w2, z)
+            _, sample = random_case(model, rng)
+            mixed = per_sample_losses(model, lam * w1 + (1 - lam) * w2, sample)[0]
+            bound = lam * per_sample_losses(model, w1, sample)[0] + (1 - lam) * per_sample_losses(model, w2, sample)[0]
             assert mixed <= bound + 1e-10
 
 
@@ -122,10 +125,9 @@ class TestEmpiricalRisk:
 
     def test_singleton(self):
         model = LossModel("linear", 2)
-        x, y = np.array([1.0, 2.0]), 5.0
-        data = Dataset(x[None, :], np.array([y]))
+        data = one_row([1.0, 2.0], 5.0)
         w = np.array([0.5, -0.5])
-        assert empirical_risk(model, w, data) == pytest.approx(per_sample_loss(model, w, (x, y)))
+        assert empirical_risk(model, w, data) == pytest.approx(per_sample_losses(model, w, data)[0])
 
     def test_empty_raises(self):
         model = LossModel("linear", 2)
