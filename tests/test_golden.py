@@ -35,6 +35,21 @@ CASES = {
     "compressed-identity": {**COMPRESSED, "compressor.kind": "identity"},
     "compressed-topk": {**COMPRESSED, "compressor.kind": "topk", "compressor.k": 4},
     "compressed-randk": {**COMPRESSED, "compressor.kind": "randk", "compressor.p": 0.3, "attack.dynamic": True},
+    # the one attack whose corrupt reads the Byzantine rows' own decoded uploads
+    "compressed-randk-gaussian": {
+        **COMPRESSED,
+        "compressor.kind": "randk",
+        "compressor.p": 0.3,
+        "attack.kind": "gaussian_noise",
+        "attack.strength": 2.0,
+    },
+    "compressed-randk-logistic": {
+        **COMPRESSED,
+        "compressor.kind": "randk",
+        "compressor.p": 0.4,
+        "model.kind": "logistic",
+        "data.d": 5,
+    },
     "compressed-l1": {**COMPRESSED, "compressor.kind": "l1"},
     "baseline-mean": BASELINE,
     "baseline-krum": {**BASELINE, "aggregator.kind": "krum"},
@@ -58,6 +73,8 @@ GOLDEN = {
     "compressed-identity": "2582fe98c517f40b8513e6ce8c35c359320f9dbea996ab8861f5795f009d509d",
     "compressed-l1": "eda82fe9b8bece1b785f20afca0ef69b922bf719d7f9056d73211d2f00f07969",
     "compressed-randk": "60d73d35e485065406b8de2568ab04bcf953a59476acf2b03a5bc5693964c7b6",
+    "compressed-randk-gaussian": "27c0e60432b44dbcd5ab1f1c464b2476e1fd3b7c6943b3ed9c9d59915f2709bd",
+    "compressed-randk-logistic": "d94d7346cd1c330d066ed6df9a7847642cc61384c3ce1ca91021230f64c8320a",
     "compressed-topk": "f0fc4498f9a660dfc8462a77a41814f7b5d38b357f5e88e0783a19ce0773bd6c",
     "robust": "26548e6c615dd6d2311d550d1494ea96d1e0343a8276205104226757bf410ad8",
     "robust-logistic-dynamic": "671b9b9aea2053a4a1e20d49a6922510034aacb6e035963f2210ea37a8c41031",
