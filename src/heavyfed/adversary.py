@@ -82,7 +82,9 @@ def corrupt(attack: AttackSpec, honest_uploads, byz_set, rng) -> np.ndarray:
     if attack.kind == "none" or not byz_set:
         return uploads
     byz = sorted(byz_set)
-    good = np.delete(uploads, byz, axis=0)
+    honest_rows = np.ones(uploads.shape[0], dtype=bool)
+    honest_rows[byz] = False
+    good = uploads[honest_rows]
     if good.shape[0] == 0:
         raise InvalidConfig("corrupt needs at least one good device")
     good_mean = good.mean(axis=0)

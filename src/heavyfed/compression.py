@@ -8,7 +8,9 @@ serialized wire bytes.
 
 The codec works on the whole ``(m, d)`` upload array at once: ``encode``
 turns it into its wire payload (``compress``) and back (``decompress``), and
-``nominal_bytes`` prices the kept counts it reports.
+``nominal_bytes`` prices the kept counts it reports.  Random-k's choice of
+positions does not depend on the values, so ``keep_mask`` can draw it before
+the uploads exist and ``encode`` code them with it.
 """
 
 from __future__ import annotations
@@ -49,13 +51,28 @@ class CompressorSpec:
         return 1.0 / d
 
 
-def encode(spec: CompressorSpec, U, rng=None):
+def keep_mask(spec: CompressorSpec, shape, rng):
+    """Random-k's boolean keep mask for uploads of ``shape``; ``None`` for
+    the other kinds, whose kept positions depend on the values.
+
+    Draws one uniform block of ``shape`` from the explicit ``rng`` and keeps
+    each entry with probability p.
+    """
+    if spec.kind != "randk":
+        return None
+    if rng is None:
+        raise InvalidConfig("randk compression requires an explicit rng")
+    return rng.random(shape) < spec.p
+
+
+def encode(spec: CompressorSpec, U, rng=None, mask=None):
     """Encode the ``(m, d)`` uploads, one row per device.
 
     Returns the decoded wire array the server sees and the number of values
-    each row kept.  Identity returns ``U`` itself.  ``randk`` requires an
-    explicit ``rng`` and draws one ``(m, d)`` uniform block from it, so the
-    draws are reproducible and attributable to one stream.
+    each row kept.  Identity returns ``U`` itself.  ``randk`` codes with
+    ``mask`` when one is given (a ``keep_mask`` of ``U``'s shape), and
+    otherwise draws one from an explicit ``rng``, so the draws are
+    reproducible and attributable to one stream.
     """
     U = np.asarray(U, dtype=float)
     if U.ndim != 2 or U.size == 0:
@@ -63,18 +80,19 @@ def encode(spec: CompressorSpec, U, rng=None):
     m, d = U.shape
     if spec.kind == "identity":
         return U, np.full(m, d)
-    payload = compress(spec, U, rng)
+    payload = compress(spec, U, rng, mask)
     # sparse payloads keep their mask's positions; the sign quantizer keeps every sign
     kept = np.full(m, d) if spec.kind == "l1" else np.count_nonzero(payload[0], axis=1)
     return decompress(spec, payload), kept
 
 
-def compress(spec: CompressorSpec, U: np.ndarray, rng=None):
+def compress(spec: CompressorSpec, U: np.ndarray, rng=None, mask=None):
     """Wire payload of a non-empty ``(m, d)`` float array (``encode``'s first half).
 
     Sparse kinds: ``(mask, values)``, the kept positions and their values in
     row-major order.  ``l1``: ``(scale, signs)``, one scale per row and int8
-    signs with sign(0) = +1.
+    signs with sign(0) = +1.  ``mask`` is random-k's keep mask, drawn from
+    ``rng`` when not given.
     """
     d = U.shape[1]
     if spec.kind == "topk":
@@ -85,9 +103,10 @@ def compress(spec: CompressorSpec, U: np.ndarray, rng=None):
         np.put_along_axis(mask, top, True, axis=1)
         return mask, U[mask]
     if spec.kind == "randk":
-        if rng is None:
-            raise InvalidConfig("randk compression requires an explicit rng")
-        mask = rng.random(U.shape) < spec.p
+        if mask is None:
+            mask = keep_mask(spec, U.shape, rng)
+        elif np.shape(mask) != U.shape:
+            raise DimensionMismatch(f"randk mask of shape {np.shape(mask)} for uploads of shape {U.shape}")
         return mask, U[mask]
     scale = np.abs(U).sum(axis=1) / d
     signs = np.where(U < 0.0, -1, 1).astype(np.int8)

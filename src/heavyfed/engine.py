@@ -8,9 +8,11 @@ what fills the stages; ``_stages`` holds that choice for ``robust``,
 device in one batched call over the stacked ``(m, n, p)`` shards, and the
 codec encodes the whole array in one call, drawing from one stream per round
 (not one per device) that serves every upload and then the Byzantine
-re-encodes.  Device computations are pure functions of (round state, shard,
-derived seed), so identical configs and seeds reproduce bit-identical metric
-streams.
+re-encodes.  Random-k's keep mask does not depend on the uploads, so it is
+drawn from that stream at the start of the round, and the robust estimator
+evaluates only the ``(device, coordinate)`` entries it keeps.  Device
+computations are pure functions of (round state, shard, derived seed), so
+identical configs and seeds reproduce bit-identical metric streams.
 """
 
 from __future__ import annotations
@@ -169,12 +171,16 @@ def _stages(config: ExperimentConfig, algorithm: str):
 
 
 def _local_stage(model, shards, est, rule):
-    """Device side of a round: parameters -> ``(m, d)`` array of uploads,
-    one batched call over the stacked ``(m, n, p)`` shards."""
-    if est is not None:
-        return lambda w: robust_gradient(model, w, shards, est)
+    """Device side of a round: (parameters, codec keep mask) -> ``(m, d)``
+    array of uploads, one batched call over the stacked ``(m, n, p)`` shards.
 
-    def shard_means(w):
+    Only the robust estimator reads the mask (``None``: every entry); only
+    random-k draws one, and the baseline never compresses.
+    """
+    if est is not None:
+        return lambda w, keep: robust_gradient(model, w, shards, est, keep)
+
+    def shard_means(w, keep=None):
         if model.kind == "mlp":
             return per_sample_gradients(model, w, shards).mean(axis=-2)
         return mean_gradients(model, w, shards)
@@ -184,7 +190,7 @@ def _local_stage(model, shards, est, rule):
     # mkrum devices upload a running average of their shard means
     buffer = np.zeros((shards.labels.shape[0], model.dim))
 
-    def with_momentum(w):
+    def with_momentum(w, keep=None):
         nonlocal buffer
         buffer = rule.momentum * buffer + (1.0 - rule.momentum) * shard_means(w)
         return buffer
@@ -192,9 +198,9 @@ def _local_stage(model, shards, est, rule):
     return with_momentum
 
 
-def _uplink(codec, uploads, attack, byz, adv_rng, codec_rng):
+def _uplink(codec, uploads, keep, attack, byz, adv_rng, codec_rng):
     """Codec and adversary stages: the ``(m, d)`` vectors the server decodes, and the bytes sent."""
-    vectors, kept = compression.encode(codec, uploads, codec_rng)
+    vectors, kept = compression.encode(codec, uploads, mask=keep)
     vectors = adversary.corrupt(attack, vectors, byz, adv_rng)
     if byz and codec.kind != "identity":
         # Byzantine devices choose their own wire message; it is emitted in the
@@ -230,12 +236,13 @@ def _run(config: ExperimentConfig, rep: int, algorithm: str) -> list[RoundMetric
 
     metrics = [snapshot(0, 0, 0.0, w)]
     for t in range(config.rounds):
-        uploads = local(w)
+        # one codec stream per round: every device's keep mask, then the Byzantine re-encodes
+        codec_rng = _round_rng(codec.kind == "randk", comp_seed, (t,))
+        keep = compression.keep_mask(codec, (m, d), codec_rng)
+        uploads = local(w, keep)
         byz = adversary.select_byzantine(m, alpha, True, t, adv_seed) if dynamic else static_byz
         adv_rng = _round_rng(config.attack.kind == "gaussian_noise", adv_seed, (t, 1))
-        # one codec stream per round: every device's upload, then the Byzantine re-encodes
-        codec_rng = _round_rng(codec.kind == "randk", comp_seed, (t,))
-        vectors, bytes_up = _uplink(codec, uploads, config.attack, byz, adv_rng, codec_rng)
+        vectors, bytes_up = _uplink(codec, uploads, keep, config.attack, byz, adv_rng, codec_rng)
         agg_vec = aggregation.aggregate(rule, vectors)
         w_next = project(w - eta * agg_vec, space)
         if not np.all(np.isfinite(w_next)):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .errors import EmptyInput, InvalidConfig
+from .errors import DimensionMismatch, EmptyInput, InvalidConfig
 from .losses import per_sample_gradients
 
 SQRT2 = math.sqrt(2.0)
@@ -374,17 +374,33 @@ def robust_scalar_mean(samples, params: EstimatorParams) -> float:
     return float(params.s * _smoothed_values(x, params).mean())
 
 
-def robust_gradient(model, w, data, params: EstimatorParams) -> np.ndarray:
+def robust_gradient(model, w, data, params: EstimatorParams, keep=None) -> np.ndarray:
     """Coordinate-wise robust mean of the per-sample loss gradients.
 
     Every coordinate of the returned vector is the scalar estimator applied
     to that coordinate of the per-sample gradients over ``data``.  Stacked
     shards ``(m, n, p)`` give one row per shard, ``(m, dim)``.
+
+    ``keep``, a boolean mask of the result's shape, evaluates the estimator
+    only on the samples of the entries it keeps and returns 0.0 elsewhere:
+    byte for byte ``np.where(keep, robust_gradient(...), 0.0)``.
     """
     if len(data) == 0:
         raise EmptyInput("robust_gradient needs a non-empty dataset")
     grads = per_sample_gradients(model, w, data)
-    return params.s * _smoothed_values(grads, params).mean(axis=-2)
+    if keep is None:
+        values = _smoothed_values(grads, params)
+    else:
+        if np.shape(keep) != grads.shape[:-2] + grads.shape[-1:]:
+            raise DimensionMismatch(f"keep mask of shape {np.shape(keep)} for gradients of shape {grads.shape}")
+        # every sample of a kept entry, scattered back into a C-ordered zero
+        # array of the full shape, so the mean below sums each kept entry's
+        # samples in the same order as the unmasked path
+        *lead, col = np.nonzero(keep)
+        kept = (*lead, slice(None), col)
+        values = np.zeros(grads.shape)
+        values[kept] = _smoothed_values(grads[kept], params)
+    return params.s * values.mean(axis=-2)
 
 
 def continuity_constant(tau: float) -> float:

@@ -129,3 +129,24 @@ def bulyan_reference(vectors, f):
     keep = selected.shape[0] - 2 * f
     order = np.argsort(np.abs(selected - median), axis=0, kind="stable")
     return np.take_along_axis(selected, order[:keep], axis=0).mean(axis=0)
+
+
+def corrupt_reference(attack, uploads, byz_set, rng):
+    """``adversary.corrupt`` as first written: the good rows are taken with
+    ``np.delete``."""
+    uploads = np.asarray(uploads, dtype=float)
+    if attack.kind == "none" or not byz_set:
+        return uploads
+    byz = sorted(byz_set)
+    good = np.delete(uploads, byz, axis=0)
+    good_mean = good.mean(axis=0)
+    out = uploads.copy()
+    if attack.kind == "sign_flip":
+        out[byz] = -attack.strength * good_mean
+    elif attack.kind == "large_value":
+        out[byz] = attack.strength
+    elif attack.kind == "gaussian_noise":
+        out[byz] += rng.normal(0.0, attack.strength, size=(len(byz), uploads.shape[1]))
+    else:
+        out[byz] = good_mean + attack.strength * good.std(axis=0)
+    return out

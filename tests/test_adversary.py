@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from heavyfed import AttackSpec, InvalidConfig, byzantine_count, corrupt, select_byzantine
+from heavyfed.adversary import ATTACK_KINDS
+from oracles import corrupt_reference
 
 
 def uploads(seed=0, m=8, d=3):
@@ -136,6 +138,15 @@ class TestCorrupt:
         assert np.array_equal(a, b)
         assert np.array_equal(np.delete(a, [1, 4], axis=0), np.delete(np.array(ups), [1, 4], axis=0))
 
+
+    @pytest.mark.parametrize("kind", ATTACK_KINDS)
+    def test_matches_the_delete_oracle_byte_for_byte(self, kind):
+        spec = AttackSpec(kind=kind, strength=2.0, alpha=0.4)
+        ups = np.random.default_rng(9).standard_normal((20, 40)) ** 3
+        for byz in (frozenset(), frozenset({0}), frozenset({19, 3}), frozenset(range(0, 20, 3))):
+            out = corrupt(spec, ups, byz, np.random.default_rng(7))
+            expected = corrupt_reference(spec, ups, byz, np.random.default_rng(7))
+            assert out.tobytes() == expected.tobytes()
 
 class TestAttackSpec:
     def test_alpha_bound(self):

@@ -13,6 +13,7 @@ from heavyfed import (
     encode,
     nominal_bytes,
 )
+from heavyfed.compression import keep_mask
 
 
 def heavy_vectors(count, d, seed):
@@ -210,6 +211,25 @@ class TestRandK:
         nonzero = wire != 0.0
         assert np.array_equal(wire[nonzero], x[nonzero])
         assert kept == np.count_nonzero(nonzero)
+
+    def test_mask_drawn_ahead_codes_like_the_one_encode_draws(self):
+        U = np.random.default_rng(4).standard_normal((3, 40))
+        spec = CompressorSpec(kind="randk", p=0.3)
+        mask = keep_mask(spec, U.shape, np.random.default_rng(99))
+        ahead, kept_ahead = encode(spec, U, mask=mask)
+        drawn, kept = encode(spec, U, rng=np.random.default_rng(99))
+        assert ahead.tobytes() == drawn.tobytes()
+        assert np.array_equal(kept_ahead, kept) and np.array_equal(kept, mask.sum(axis=1))
+
+    def test_keep_mask_only_for_randk(self):
+        for spec in (CompressorSpec(), CompressorSpec(kind="topk", k=2), CompressorSpec(kind="l1")):
+            assert keep_mask(spec, (3, 4), np.random.default_rng(0)) is None
+        with pytest.raises(InvalidConfig):
+            keep_mask(CompressorSpec(kind="randk", p=0.5), (3, 4), None)
+
+    def test_mask_must_match_the_uploads(self):
+        with pytest.raises(DimensionMismatch):
+            encode(CompressorSpec(kind="randk", p=0.5), np.ones((3, 4)), mask=np.ones((3, 5), dtype=bool))
 
     def test_expected_contract(self):
         # E ||Q(x) - x||^2 = (1 - p) ||x||^2; allow 3 / sqrt(trials) slack

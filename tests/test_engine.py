@@ -402,13 +402,20 @@ class TestCompressedRun:
     def test_one_codec_stream_per_round(self, monkeypatch):
         from heavyfed import compression
 
-        calls = []
-        original = compression.encode
+        calls = []  # (rows, generator) of every keep mask drawn
+        drawn, coded = [], []  # the masks drawn, and the ones encode was handed
+        original_mask, original_encode = compression.keep_mask, compression.encode
 
-        def recording(spec, uploads, rng=None):
-            calls.append((len(uploads), rng))
-            return original(spec, uploads, rng)
+        def drawing(spec, shape, rng):
+            calls.append((shape[0], rng))
+            drawn.append(original_mask(spec, shape, rng))
+            return drawn[-1]
 
+        def recording(spec, uploads, rng=None, mask=None):
+            coded.append(mask)
+            return original_encode(spec, uploads, rng, mask)
+
+        monkeypatch.setattr(compression, "keep_mask", drawing)
         monkeypatch.setattr(compression, "encode", recording)
         run_compressed_gd(tiny_config(**{
             "experiment.algorithm": "robust_compressed",
@@ -418,11 +425,52 @@ class TestCompressedRun:
             "attack.kind": "sign_flip",
             "attack.alpha": 0.2,
         }))
-        # each round: every device's upload, then the Byzantine re-encode, one generator
+        # each round: every device's keep mask, then the Byzantine re-encode, one generator
         assert [rows for rows, _ in calls] == [5, 1] * 3
         rngs = [rng for _, rng in calls]
         assert all(rngs[i] is rngs[i + 1] for i in (0, 2, 4))
         assert len({id(rng) for rng in rngs[::2]}) == 3
+        # the honest uploads are coded with the round's first mask; the
+        # Byzantine re-encode draws its own
+        assert len(coded) == 6
+        assert all(used is mask for used, mask in zip(coded[::2], drawn[::2]))
+        assert coded[1::2] == [None] * 3
+
+    @pytest.mark.parametrize("kind", ["randk", "topk", "l1", "identity"])
+    def test_estimator_kernel_sees_only_the_kept_entries(self, monkeypatch, kind):
+        from heavyfed import engine, estimator
+
+        fed, masks = [], []
+        original_values, original_gradient = estimator._smoothed_values, engine.robust_gradient
+
+        def counting(x, params):
+            fed.append(np.size(x))
+            return original_values(x, params)
+
+        def estimating(model, w, data, params, keep=None):
+            masks.append(keep)
+            return original_gradient(model, w, data, params, keep)
+
+        monkeypatch.setattr(estimator, "_smoothed_values", counting)
+        monkeypatch.setattr(engine, "robust_gradient", estimating)
+        cfg = tiny_config(**{
+            "experiment.algorithm": "robust_compressed",
+            "experiment.rounds": 6,
+            "compressor.kind": kind,
+            "compressor.k": 3,
+            "compressor.p": 0.3,
+            "attack.kind": "gaussian_noise",
+            "attack.alpha": 0.2,
+        })
+        run_compressed_gd(cfg)
+        m, n, d = cfg.devices, cfg.samples_per_device, cfg.dimension
+        if kind == "randk":
+            assert [mask.shape for mask in masks] == [(m, d)] * 6
+            assert fed == [n * int(mask.sum()) for mask in masks]
+            assert 0 < sum(fed) < 6 * m * n * d
+        else:
+            assert masks == [None] * 6
+            assert fed == [m * n * d] * 6
 
 class TestDispatchAndSeeds:
     def test_run_dispatches_on_algorithm(self):

@@ -306,6 +306,47 @@ class TestRobustGradient:
             outputs.append(robust_gradient(model, w, shards, params))
         assert all(out.tobytes() == outputs[0].tobytes() for out in outputs)
 
+    @given(
+        model=st.sampled_from(
+            [
+                LossModel("linear", 1),
+                LossModel("linear", 2),
+                LossModel("logistic", 1),
+                LossModel("logistic", 2),
+                LossModel("mlp", 1, hidden=1),
+                LossModel("mlp", 2, hidden=2, objective="logistic"),
+            ]
+        ),
+        m=st.sampled_from([None, 1, 3]),  # None: one plain (n, p) dataset
+        n=st.sampled_from([1, 8, 9, 50]),
+        kept=st.sampled_from(["none", "one", "all", "some"]),
+        s=st.sampled_from([0.01, 1.0, 100.0]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_keep_mask_equals_masking_the_full_estimate(self, model, m, n, kept, s, seed):
+        shards, w = stacked_shards(model, m=m or 1, n=n, seed=seed)
+        data = shards if m else Dataset(shards.features[0], shards.labels[0])
+        params = make_params(s, 16.9)
+        full = robust_gradient(model, w, data, params)
+        rng = np.random.default_rng(seed)
+        keep = np.zeros(full.shape, dtype=bool)
+        if kept == "one":
+            keep.flat[rng.integers(keep.size)] = True
+        elif kept == "all":
+            keep[...] = True
+        elif kept == "some":
+            keep = rng.random(full.shape) < 0.5
+        masked = robust_gradient(model, w, data, params, keep=keep)
+        assert masked.shape == full.shape
+        assert masked.tobytes() == np.where(keep, full, 0.0).tobytes()
+
+    def test_keep_mask_must_match_the_result(self):
+        model = LossModel("linear", 3)
+        shards, w = stacked_shards(model, m=2, n=5)
+        with pytest.raises(DimensionMismatch):
+            robust_gradient(model, w, shards, make_params(1.0, 4.0), keep=np.ones(3, dtype=bool))
+
     def test_empty_and_mismatch(self):
         model = LossModel("linear", 3)
         with pytest.raises(EmptyInput):
