@@ -39,9 +39,6 @@ from .engine import (
     estimate_smoothness,
     project,
     run,
-    run_baseline,
-    run_compressed_gd,
-    run_robust_gd,
 )
 from .errors import (
     ConfigError,

@@ -56,6 +56,24 @@ def _as_matrix(vectors):
     return U
 
 
+# What each rule may discard among m uploads and still aggregate.  A trimmed
+# mean drops k uploads from each of its sides and keeps one, so
+# k <= floor((m - 1) / sides); a selection rule tolerates f Byzantine uploads
+# while m >= q f + 3, so f <= floor((m - 3) / q).
+_TRIM_SIDES = {"coord_trimmed": 2, "norm_trimmed": 1}
+F_QUOTIENT = {"krum": 2, "mkrum": 2, "bulyan": 4}
+
+
+def max_trim(kind: str, m: int) -> int | None:
+    """Largest trim count (per side) for m uploads; None for a rule that trims nothing."""
+    return (m - 1) // _TRIM_SIDES[kind] if kind in _TRIM_SIDES else None
+
+
+def max_f(kind: str, m: int) -> int | None:
+    """Largest Byzantine count f for m uploads; None for a rule that takes no f."""
+    return (m - 3) // F_QUOTIENT[kind] if kind in F_QUOTIENT else None
+
+
 def trim_count(beta: float, m: int) -> int:
     """Entries removed per trimmed side: ceil(beta * m), tolerant of fp noise."""
     if not 0.0 <= beta < 0.5:
@@ -72,7 +90,7 @@ def coord_trimmed_mean(vectors, beta: float) -> np.ndarray:
     U = _as_matrix(vectors)
     m = U.shape[0]
     k = trim_count(beta, m)
-    if m - 2 * k < 1:
+    if k > max_trim("coord_trimmed", m):
         raise TooFewVectors(f"trimming {k} per side leaves nothing of {m} vectors")
     if k == 0:
         return U.mean(axis=0)
@@ -84,7 +102,7 @@ def norm_trimmed_mean(vectors, beta: float) -> np.ndarray:
     U = _as_matrix(vectors)
     m = U.shape[0]
     k = trim_count(beta, m)
-    if m - k < 1:
+    if k > max_trim("norm_trimmed", m):
         raise TooFewVectors(f"trimming {k} vectors leaves nothing of {m}")
     if k == 0:
         return U.mean(axis=0)
@@ -203,8 +221,9 @@ def bulyan(vectors, f: int = 0) -> np.ndarray:
     m = U.shape[0]
     if f < 0:
         raise InvalidConfig(f"f must be >= 0, got {f}")
-    if m < 4 * f + 3:
-        raise TooFewVectors(f"bulyan needs at least 4f + 3 = {4 * f + 3} vectors, got {m}")
+    limit = max_f("bulyan", m)
+    if f > limit:
+        raise TooFewVectors(f"bulyan tolerates f <= {limit} of {m} vectors, got f={f}")
     chosen = _bulyan_picks(U, f)
     if chosen is None:
         return np.full(U.shape[1], np.nan)

@@ -14,14 +14,29 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .adversary import ATTACK_KINDS, AttackSpec, byzantine_count, default_strength
-from .aggregation import AGGREGATOR_KINDS, AggregatorSpec, trim_count
+from .aggregation import AGGREGATOR_KINDS, F_QUOTIENT, AggregatorSpec, max_f, max_trim, trim_count
 from .compression import COMPRESSOR_KINDS, CompressorSpec
 from .datagen import NOISE_KINDS, NoiseSpec
 from .errors import ConfigError, InvalidConfig
 from .estimator import EstimatorParams, default_params
 from .losses import MLP_OBJECTIVES, MODEL_KINDS
 
-ALGORITHMS = ("robust", "robust_compressed", "baseline")
+
+@dataclass(frozen=True)
+class Preset:
+    """What an algorithm plugs into the one round pipeline."""
+
+    variant: str | None  # estimator schedule of the local stage; None: plain shard means
+    codec: bool  # uploads go through the configured codec; False: dense uploads
+    rule: str | None  # aggregation rule kind; None: the configured aggregator.kind
+
+
+PRESETS = {
+    "robust": Preset("plain", codec=False, rule="coord_trimmed"),
+    "robust_compressed": Preset("compressed", codec=True, rule="norm_trimmed"),
+    "baseline": Preset(None, codec=False, rule=None),
+}
+ALGORITHMS = tuple(PRESETS)
 
 # section -> key -> default (as the string the file would contain)
 _SCHEMA = {
@@ -180,7 +195,7 @@ class ExperimentConfig:
     lipschitz: float
     est_s: float | None
     est_tau: float | None
-    aggregator: AggregatorSpec
+    aggregator: AggregatorSpec  # the rule the server runs, kind resolved by the preset
     compressor: CompressorSpec
     attack: AttackSpec
     seed: int
@@ -192,16 +207,25 @@ class ExperimentConfig:
     raw: dict = field(repr=False, compare=False, default_factory=dict)
 
     @property
-    def alpha(self) -> float:
-        return self.attack.alpha
+    def preset(self) -> Preset:
+        return PRESETS[self.algorithm]
+
+    @property
+    def codec(self) -> CompressorSpec:
+        """The codec the uploads go through: the configured one, or dense."""
+        return self.compressor if self.preset.codec else CompressorSpec()
 
     def resolved_feature_sigma(self) -> float:
         if self.feature_sigma is not None:
             return self.feature_sigma
         return 3.0 if self.model_kind == "logistic" else 0.78
 
-    def estimator_params(self, n, m, d, variant) -> EstimatorParams:
-        """Estimator schedule for one run; manual s/tau overrides win."""
+    def estimator_params(self, n, m, d) -> EstimatorParams | None:
+        """Estimator schedule of the local stage, or None where the preset
+        uploads plain shard means; manual s/tau overrides win."""
+        variant = self.preset.variant
+        if variant is None:
+            return None
         if self.est_s is not None:
             return EstimatorParams(
                 s=self.est_s, tau=self.est_tau, v=self.v, log_inv_zeta=self.est_tau**2 / 2.0
@@ -209,28 +233,40 @@ class ExperimentConfig:
         return default_params(n, m, d, self.v, self.diameter, self.lipschitz, variant)
 
 
-def _resolve_beta(alpha, m, norm_rule):
-    k_max = (m - 1) if norm_rule else (m - 1) // 2
-    upper = min(k_max / m, 0.499)
-    beta = min(alpha + 0.05, upper)
-    if beta < alpha:
-        _fail(
-            "aggregator.beta",
-            f"no feasible trim fraction >= alpha={alpha} with m={m} devices",
-        )
-    return beta
-
-
-def _check_beta(beta, alpha, m, norm_rule):
+def _resolve_beta(raw, alpha, m, rule):
+    """Trim fraction for the rule that runs: auto is alpha + 0.05 capped at the
+    rule's trim limit; a rule that trims nothing admits any beta >= alpha."""
+    limit = max_trim(rule, m)
+    if raw == "auto":
+        if limit is None:
+            return alpha
+        beta = min(alpha + 0.05, limit / m, 0.499)
+        if beta < alpha:
+            _fail("aggregator.beta", f"no feasible trim fraction >= alpha={alpha} with m={m} devices")
+        return beta
+    beta = _parse_float("aggregator.beta", raw)
     if not 0.0 <= beta < 0.5:
         _fail("aggregator.beta", f"beta must lie in [0, 0.5), got {beta}")
     if beta < alpha:
         _fail("aggregator.beta", f"beta must be at least alpha (alpha={alpha}, beta={beta})")
-    k = trim_count(beta, m)
-    remaining = m - k if norm_rule else m - 2 * k
-    if remaining < 1:
+    if limit is not None and trim_count(beta, m) > limit:
         _fail("aggregator.beta", f"trimming at beta={beta} leaves no vectors of m={m}")
     return beta
+
+
+def _resolve_f(raw, alpha, m, rule):
+    """Byzantine count the rule tolerates: auto is floor(alpha * m) capped at its limit."""
+    limit = max_f(rule, m)
+    if raw != "auto":
+        f = _parse_int("aggregator.f", raw, minimum=0)
+        if limit is not None and f > limit:
+            _fail("aggregator.f", f"f must be <= floor((m - 3) / {F_QUOTIENT[rule]}) for {rule} (m={m}, f={f})")
+        return f
+    if limit is None:
+        return 0
+    if limit < 0:
+        _fail("aggregator.f", f"{rule} needs more than {m} devices")
+    return min(byzantine_count(alpha, m), limit)
 
 
 def _build(raw: dict) -> ExperimentConfig:
@@ -308,34 +344,11 @@ def _build(raw: dict) -> ExperimentConfig:
     tol = _parse_float("aggregator.tol", get("aggregator.tol"), positive=True)
     max_iter = _parse_int("aggregator.max_iter", get("aggregator.max_iter"), minimum=1)
 
-    norm_rule = algorithm == "robust_compressed" or (algorithm == "baseline" and agg_kind == "norm_trimmed")
-    trimming = algorithm in ("robust", "robust_compressed") or agg_kind in ("coord_trimmed", "norm_trimmed")
-    raw_beta = get("aggregator.beta")
-    if raw_beta == "auto":
-        beta = _resolve_beta(alpha, devices, norm_rule) if trimming else alpha
-    else:
-        beta = _check_beta(_parse_float("aggregator.beta", raw_beta), alpha, devices, norm_rule)
-
-    byz = byzantine_count(alpha, devices)
-    raw_f = get("aggregator.f")
-    uses_f = algorithm == "baseline" and agg_kind in ("krum", "mkrum", "bulyan")
-    if raw_f == "auto":
-        if uses_f:
-            cap = (devices - 3) // 4 if agg_kind == "bulyan" else (devices - 3) // 2
-            if cap < 0:
-                _fail("aggregator.f", f"{agg_kind} needs more than {devices} devices")
-            f = min(byz, cap)
-        else:
-            f = 0
-    else:
-        f = _parse_int("aggregator.f", raw_f, minimum=0)
-        if uses_f:
-            if agg_kind == "bulyan" and devices < 4 * f + 3:
-                _fail("aggregator.f", f"bulyan needs m >= 4f + 3 (m={devices}, f={f})")
-            if agg_kind in ("krum", "mkrum") and f > (devices - 3) // 2:
-                _fail("aggregator.f", f"f must be <= floor((m - 3) / 2) (m={devices}, f={f})")
+    rule = PRESETS[algorithm].rule or agg_kind
+    beta = _resolve_beta(get("aggregator.beta"), alpha, devices, rule)
+    f = _resolve_f(get("aggregator.f"), alpha, devices, rule)
     try:
-        aggregator = AggregatorSpec(kind=agg_kind, beta=beta, f=f, momentum=momentum, tol=tol, max_iter=max_iter)
+        aggregator = AggregatorSpec(kind=rule, beta=beta, f=f, momentum=momentum, tol=tol, max_iter=max_iter)
     except InvalidConfig as exc:
         _fail("aggregator", str(exc))
 
@@ -495,6 +508,8 @@ def apply_axis(config: ExperimentConfig, axis: str, value) -> ExperimentConfig:
         raw["data.devices"] = str(m_new)
         raw["data.samples_per_device"] = str(total // m_new)
     elif axis == "compressor":
+        if not config.preset.codec:
+            _fail("sweep.compressor", f"{config.algorithm} sends dense uploads; it has no codec to sweep")
         kind, _, param = _stringify(value).partition(":")
         raw["compressor.kind"] = kind
         if param:

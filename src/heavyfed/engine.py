@@ -1,18 +1,19 @@
-"""One synchronous round pipeline, its algorithm presets, projection and metrics.
+"""One synchronous round pipeline, projection and metrics.
 
 Every round runs the same stages on one ``(m, d)`` array of device uploads:
 local estimate -> codec -> Byzantine corruption of the decoded wire array ->
 robust aggregation -> projected descent step.  An algorithm only chooses
-what fills the stages; ``_stages`` holds that choice for ``robust``,
-``robust_compressed`` and ``baseline``.  The local stage evaluates every
-device in one batched call over the stacked ``(m, n, p)`` shards, and the
-codec encodes the whole array in one call, drawing from one stream per round
-(not one per device) that serves every upload and then the Byzantine
-re-encodes.  Random-k's keep mask does not depend on the uploads, so it is
-drawn from that stream at the start of the round, and the robust estimator
-evaluates only the ``(device, coordinate)`` entries it keeps.  Device
-computations are pure functions of (round state, shard, derived seed), so
-identical configs and seeds reproduce bit-identical metric streams.
+what fills the stages, and the config's preset table resolves that choice
+once: ``run`` reads the estimator schedule, the codec and the aggregation
+rule from the config.  The local stage evaluates every device in one
+batched call over the stacked ``(m, n, p)`` shards, and the codec encodes
+the whole array in one call, drawing from one stream per round (not one
+per device) that serves every upload and then the Byzantine re-encodes.
+Random-k's keep mask does not depend on the uploads, so it is drawn from
+that stream at the start of the round, and the robust estimator evaluates
+only the ``(device, coordinate)`` entries it keeps.  Device computations
+are pure functions of (round state, shard, derived seed), so identical
+configs and seeds reproduce bit-identical metric streams.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import adversary, aggregation, compression
-from .aggregation import AggregatorSpec
-from .compression import CompressorSpec
 from .config import ExperimentConfig
 from .datagen import (
     CsvSchema,
@@ -158,18 +157,6 @@ def _initial_point(config, rep, d, space):
     return space.center + space.radius * rng.random() ** (1.0 / d) * direction
 
 
-def _stages(config: ExperimentConfig, algorithm: str):
-    """What the algorithm plugs into the pipeline: the estimator schedule
-    variant of the local stage (``None``: plain shard means), the codec and
-    the server's aggregation rule."""
-    beta = config.aggregator.beta
-    if algorithm == "robust":
-        return "plain", CompressorSpec(), AggregatorSpec("coord_trimmed", beta=beta)
-    if algorithm == "robust_compressed":
-        return "compressed", config.compressor, AggregatorSpec("norm_trimmed", beta=beta)
-    return None, CompressorSpec(), config.aggregator
-
-
 def _local_stage(model, shards, est, rule):
     """Device side of a round: (parameters, codec keep mask) -> ``(m, d)``
     array of uploads, one batched call over the stacked ``(m, n, p)`` shards.
@@ -210,7 +197,8 @@ def _uplink(codec, uploads, keep, attack, byz, adv_rng, codec_rng):
     return vectors, compression.nominal_bytes(codec, kept)
 
 
-def _run(config: ExperimentConfig, rep: int, algorithm: str) -> list[RoundMetrics]:
+def run(config: ExperimentConfig, rep: int = 0) -> list[RoundMetrics]:
+    """Run one repetition of the pipeline ``config.algorithm`` names."""
     train, test, w_star, model = build_data(config, rep)
     m = config.devices
     shards = partition(train, m, seed=stream_seed(config, rep, "partition"))
@@ -221,9 +209,8 @@ def _run(config: ExperimentConfig, rep: int, algorithm: str) -> list[RoundMetric
     space = ParamSpace(np.zeros(d), config.space_radius)
     w = _initial_point(config, rep, d, space)
 
-    variant, codec, rule = _stages(config, algorithm)
-    est = None if variant is None else config.estimator_params(n=len(shards), m=m, d=d, variant=variant)
-    local = _local_stage(model, shards, est, rule)
+    codec, rule = config.codec, config.aggregator
+    local = _local_stage(model, shards, config.estimator_params(n=len(shards), m=m, d=d), rule)
     adv_seed = stream_seed(config, rep, "adversary")
     comp_seed = stream_seed(config, rep, "compressor")
     alpha, dynamic = config.attack.alpha, config.attack.dynamic
@@ -251,22 +238,3 @@ def _run(config: ExperimentConfig, rep: int, algorithm: str) -> list[RoundMetric
         w = w_next
     return metrics
 
-
-def run_robust_gd(config: ExperimentConfig, rep: int = 0) -> list[RoundMetrics]:
-    """Robust per-coordinate local estimates + coordinate-wise trimmed mean."""
-    return _run(config, rep, "robust")
-
-
-def run_compressed_gd(config: ExperimentConfig, rep: int = 0) -> list[RoundMetrics]:
-    """Robust local estimates, compressed uploads, norm-based trimmed mean."""
-    return _run(config, rep, "robust_compressed")
-
-
-def run_baseline(config: ExperimentConfig, rep: int = 0) -> list[RoundMetrics]:
-    """Plain local mean gradients under the configured aggregation rule."""
-    return _run(config, rep, "baseline")
-
-
-def run(config: ExperimentConfig, rep: int = 0) -> list[RoundMetrics]:
-    """Run the pipeline ``config.algorithm`` names."""
-    return _run(config, rep, config.algorithm)

@@ -21,6 +21,7 @@ from heavyfed import (
     effective_delta,
     make_config,
     robust_gradient,
+    run,
     run_repetitions,
     run_experiment,
     sample_lognormal_centered,
@@ -292,12 +293,10 @@ class TestCriterion10:
         # attack-free, trim-free: aggregated gradient == mean of device estimates
         train, test, w_star, model = build_data(cfg, 0)
         shards = partition(train, cfg.devices, seed=stream_seed(cfg, 0, "partition"))
-        params = cfg.estimator_params(n=len(shards), m=cfg.devices, d=model.dim, variant="plain")
+        params = cfg.estimator_params(n=len(shards), m=cfg.devices, d=model.dim)
         w0 = np.zeros(model.dim)
         expected = np.mean(robust_gradient(model, w0, shards, params), axis=0)
-        from heavyfed import run_robust_gd
-
-        metrics = run_robust_gd(cfg)
+        metrics = run(cfg)
         grad_err = abs(metrics[1].grad_norm - float(np.linalg.norm(expected)))
 
         run_experiment(cfg, tmp_path / "a")

@@ -1,7 +1,11 @@
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from heavyfed import (
     ConfigError,
+    aggregate,
     apply_axis,
     config_digest,
     echo_config,
@@ -9,7 +13,7 @@ from heavyfed import (
     parse_config,
 )
 from heavyfed.aggregation import AGGREGATOR_KINDS
-from heavyfed.config import ALGORITHMS
+from heavyfed.config import ALGORITHMS, PRESETS
 
 
 def write(tmp_path, text):
@@ -90,12 +94,26 @@ class TestValidation:
 
     def test_manual_schedule_used(self):
         cfg = make_config({"estimator.s": 1.5, "estimator.tau": 4.0})
-        params = cfg.estimator_params(n=100, m=10, d=10, variant="plain")
+        params = cfg.estimator_params(n=100, m=10, d=10)
         assert (params.s, params.tau) == (1.5, 4.0)
 
     def test_over_trim_rejected(self):
         with pytest.raises(ConfigError, match="leaves no vectors"):
             make_config({"data.devices": 3, "aggregator.beta": 0.4, "attack.alpha": 0.3})
+
+    def test_rule_without_trimming_admits_any_beta_from_alpha(self):
+        cfg = make_config({
+            "experiment.algorithm": "baseline",
+            "aggregator.kind": "mean",
+            "data.devices": 3,
+            "aggregator.beta": 0.4,
+            "attack.alpha": 0.3,
+        })
+        assert (cfg.aggregator.kind, cfg.aggregator.beta) == ("mean", 0.4)
+
+    def test_robust_preset_refuses_an_infeasible_alpha_whatever_the_kind(self):
+        with pytest.raises(ConfigError, match="no feasible trim fraction"):
+            make_config({"aggregator.kind": "mean", "attack.alpha": 0.45})
 
     def test_trim_auto_caps_at_feasible(self):
         from heavyfed.aggregation import trim_count
@@ -138,6 +156,35 @@ class TestValidation:
                 "data.label_column": "y",
                 "estimator.v": 1.0,
             })
+
+
+class TestFeasibility:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        m=st.integers(1, 12),
+        alpha=st.floats(0.0, 0.5, exclude_max=True),
+        algorithm=st.sampled_from(ALGORITHMS),
+        kind=st.sampled_from(AGGREGATOR_KINDS),
+        beta=st.one_of(st.just("auto"), st.floats(0.0, 0.5, exclude_max=True)),
+        f=st.one_of(st.just("auto"), st.integers(0, 4)),
+    )
+    @example(m=3, alpha=0.3, algorithm="baseline", kind="mean", beta=0.4, f="auto")
+    @example(m=10, alpha=0.45, algorithm="robust", kind="mean", beta="auto", f="auto")
+    def test_resolved_rule_aggregates_or_the_config_refuses(self, m, alpha, algorithm, kind, beta, f):
+        try:
+            cfg = make_config({
+                "experiment.algorithm": algorithm,
+                "data.devices": m,
+                "attack.alpha": alpha,
+                "aggregator.kind": kind,
+                "aggregator.beta": beta,
+                "aggregator.f": f,
+            })
+        except ConfigError as exc:
+            assert str(exc).startswith(("aggregator.beta:", "aggregator.f:")), exc
+            return
+        assert cfg.aggregator.kind == (PRESETS[algorithm].rule or kind)
+        assert aggregate(cfg.aggregator, np.zeros((m, 3))).shape == (3,)
 
 
 class TestDigest:
@@ -266,6 +313,12 @@ class TestApplyAxis:
         assert (out.compressor.kind, out.compressor.k) == ("topk", 4)
         out2 = apply_axis(cfg, "compressor", "l1")
         assert out2.compressor.kind == "l1"
+
+    @pytest.mark.parametrize("algorithm", ["robust", "baseline"])
+    def test_compressor_axis_needs_a_preset_with_a_codec(self, algorithm):
+        cfg = make_config({"experiment.algorithm": algorithm})
+        with pytest.raises(ConfigError, match="sweep.compressor.*dense uploads"):
+            apply_axis(cfg, "compressor", "topk:4")
 
     def test_unknown_axis(self):
         with pytest.raises(ConfigError, match="unknown axis"):

@@ -15,15 +15,14 @@ from heavyfed import (
     project,
     robust_gradient,
     run,
-    run_baseline,
-    run_compressed_gd,
     run_experiment,
     run_repetitions,
-    run_robust_gd,
 )
 from heavyfed.adversary import ATTACK_KINDS
 from heavyfed.datagen import partition
 from heavyfed.aggregation import AggregatorSpec
+from heavyfed.compression import CompressorSpec
+from heavyfed.config import PRESETS
 from heavyfed.engine import stream_seed
 from heavyfed.losses import mean_gradients
 from oracles import STACKED_MODELS, stacked_shards
@@ -77,7 +76,7 @@ class TestRobustRun:
             "estimator.s": 1000.0,
             "estimator.tau": 9.0,
         })
-        metrics = run_robust_gd(cfg)
+        metrics = run(cfg)
         losses = [rm.test_loss for rm in metrics]
         for i in range(3, len(losses) - 1):
             assert losses[i + 1] <= losses[i] + 1e-12
@@ -85,21 +84,21 @@ class TestRobustRun:
 
     def test_zero_rounds_returns_initial_point_only(self):
         cfg = dataclasses.replace(tiny_config(), rounds=0)
-        metrics = run_robust_gd(cfg)
+        metrics = run(cfg)
         assert len(metrics) == 1
         assert metrics[0].round_index == 0
         assert metrics[0].bytes_up == 0
 
     def test_deterministic_metric_stream(self):
         cfg = tiny_config(**{"attack.alpha": 0.2, "attack.dynamic": True})
-        a = run_robust_gd(cfg)
-        b = run_robust_gd(cfg)
+        a = run(cfg)
+        b = run(cfg)
         assert a == b
 
     def test_repetitions_differ(self):
         cfg = tiny_config()
-        a = run_robust_gd(cfg, rep=0)
-        b = run_robust_gd(cfg, rep=1)
+        a = run(cfg, rep=0)
+        b = run(cfg, rep=1)
         assert a[0].test_loss != b[0].test_loss
 
     def test_attack_free_equivalence_with_mean(self):
@@ -108,22 +107,22 @@ class TestRobustRun:
         cfg = tiny_config(**{"experiment.rounds": 1, "aggregator.beta": 0.0})
         train, test, w_star, model = build_data(cfg, 0)
         shards = partition(train, cfg.devices, seed=stream_seed(cfg, 0, "partition"))
-        params = cfg.estimator_params(n=len(shards), m=cfg.devices, d=model.dim, variant="plain")
+        params = cfg.estimator_params(n=len(shards), m=cfg.devices, d=model.dim)
         w0 = np.zeros(model.dim)
         device_grads = robust_gradient(model, w0, shards, params)
         expected = device_grads.mean(axis=0)
-        metrics = run_robust_gd(cfg)
+        metrics = run(cfg)
         assert metrics[1].grad_norm == float(np.linalg.norm(expected))
 
     def test_bytes_accounting_dense(self):
         cfg = tiny_config(**{"experiment.rounds": 2})
-        metrics = run_robust_gd(cfg)
+        metrics = run(cfg)
         assert metrics[1].bytes_up == 8 * cfg.dimension * cfg.devices
         assert metrics[0].bytes_up == 0
 
     def test_all_metrics_finite(self):
         cfg = tiny_config(**{"attack.alpha": 0.2})
-        for rm in run_robust_gd(cfg):
+        for rm in run(cfg):
             assert math.isfinite(rm.test_loss)
             assert math.isfinite(rm.grad_norm)
             assert rm.param_err is not None and math.isfinite(rm.param_err)
@@ -140,7 +139,7 @@ class TestBaselines:
         device_means = per_sample_gradients(model, w0, shards).mean(axis=1)
         stacked = device_means.mean(axis=0)
         assert np.allclose(stacked, pooled, atol=1e-12)
-        metrics = run_baseline(cfg)
+        metrics = run(cfg)
         assert abs(metrics[1].grad_norm - float(np.linalg.norm(stacked))) <= 1e-12
 
     def test_krum_returns_a_device_upload(self):
@@ -154,7 +153,7 @@ class TestBaselines:
         shards = partition(train, cfg.devices, seed=stream_seed(cfg, 0, "partition"))
         w0 = np.zeros(model.dim)
         norms = np.linalg.norm(per_sample_gradients(model, w0, shards).mean(axis=1), axis=1)
-        metrics = run_baseline(cfg)
+        metrics = run(cfg)
         assert any(abs(metrics[1].grad_norm - nv) <= 1e-12 for nv in norms)
 
     def test_coord_median_survives_sign_flip(self):
@@ -165,7 +164,7 @@ class TestBaselines:
             "aggregator.kind": "coord_median",
             "attack.alpha": 0.2,
         })
-        metrics = run_baseline(cfg)
+        metrics = run(cfg)
         assert all(math.isfinite(rm.test_loss) for rm in metrics)
         assert all(math.isfinite(rm.grad_norm) for rm in metrics)
 
@@ -175,8 +174,8 @@ class TestBaselines:
             "experiment.rounds": 5,
             "aggregator.f": 1,
         }
-        krum_metrics = run_baseline(tiny_config(**base, **{"aggregator.kind": "krum"}))
-        mkrum_metrics = run_baseline(tiny_config(**base, **{"aggregator.kind": "mkrum"}))
+        krum_metrics = run(tiny_config(**base, **{"aggregator.kind": "krum"}))
+        mkrum_metrics = run(tiny_config(**base, **{"aggregator.kind": "mkrum"}))
         assert krum_metrics[2].grad_norm != mkrum_metrics[2].grad_norm
 
     @pytest.mark.parametrize(
@@ -193,7 +192,7 @@ class TestBaselines:
             "aggregator.kind": kind,
             "attack.alpha": 0.125,
         })
-        metrics = run_baseline(cfg)
+        metrics = run(cfg)
         assert len(metrics) == 4
         assert all(math.isfinite(rm.test_loss) for rm in metrics)
 
@@ -205,7 +204,7 @@ class TestBaselines:
             "attack.alpha": 0.4,
         })
         with pytest.raises(NonFiniteState) as err:
-            run_baseline(cfg)
+            run(cfg)
         assert err.value.round_index == 0
 
     def test_nan_upload_under_bulyan_is_a_recorded_divergence(self, monkeypatch):
@@ -281,7 +280,7 @@ class TestByzantineSets:
             "attack.alpha": 0.2,
             "attack.dynamic": dynamic,
         })
-        run_robust_gd(cfg)
+        run(cfg)
         assert len(calls) == draws
 
     @pytest.mark.parametrize("kind, draws", [("sign_flip", False), ("gaussian_noise", True)])
@@ -296,7 +295,7 @@ class TestByzantineSets:
             return original(attack, uploads, byz, rng)
 
         monkeypatch.setattr(adversary, "corrupt", recording)
-        run_robust_gd(tiny_config(**{"experiment.rounds": 4, "attack.kind": kind, "attack.alpha": 0.2}))
+        run(tiny_config(**{"experiment.rounds": 4, "attack.kind": kind, "attack.alpha": 0.2}))
         assert len(rngs) == 4
         assert all((rng is not None) == draws for rng in rngs)
 
@@ -308,8 +307,8 @@ class TestCompressedRun:
             "experiment.rounds": 10,
             "attack.alpha": 0.2,
         }
-        ident = run_compressed_gd(tiny_config(**base, **{"compressor.kind": "identity"}))
-        full = run_compressed_gd(tiny_config(**base, **{"compressor.kind": "topk", "compressor.k": 10}))
+        ident = run(tiny_config(**base, **{"compressor.kind": "identity"}))
+        full = run(tiny_config(**base, **{"compressor.kind": "topk", "compressor.k": 10}))
         for a, b in zip(ident, full):
             assert a.test_loss == b.test_loss
             assert a.grad_norm == b.grad_norm
@@ -323,8 +322,8 @@ class TestCompressedRun:
             "data.samples_per_device": 100,
             "estimator.v": 5.0,
         }
-        robust = run_robust_gd(make_config({**shared, "experiment.repetitions": 1}))
-        compressed = run_compressed_gd(
+        robust = run(make_config({**shared, "experiment.repetitions": 1}))
+        compressed = run(
             make_config({**shared, "experiment.algorithm": "robust_compressed", "compressor.kind": "identity"})
         )
         assert robust[-1].test_loss < 0.5 * robust[0].test_loss
@@ -337,8 +336,8 @@ class TestCompressedRun:
             "data.devices": 10,
             "data.samples_per_device": 20,
         }
-        ident = run_compressed_gd(make_config({**base, "compressor.kind": "identity", "experiment.repetitions": 1}))
-        half = run_compressed_gd(make_config({**base, "compressor.kind": "topk", "compressor.k": 5, "experiment.repetitions": 1}))
+        ident = run(make_config({**base, "compressor.kind": "identity", "experiment.repetitions": 1}))
+        half = run(make_config({**base, "compressor.kind": "topk", "compressor.k": 5, "experiment.repetitions": 1}))
         # nominal sparse bytes: 12 per kept value vs 8 per dense value
         assert ident[1].bytes_up == 8 * 10 * 10
         assert half[1].bytes_up == 12 * 5 * 10
@@ -350,7 +349,7 @@ class TestCompressedRun:
             "compressor.p": 0.6,
             "attack.alpha": 0.2,
         })
-        assert run_compressed_gd(cfg) == run_compressed_gd(cfg)
+        assert run(cfg) == run(cfg)
 
     @pytest.mark.parametrize("dynamic", [False, True])
     @pytest.mark.parametrize("attack", ATTACK_KINDS)
@@ -367,8 +366,8 @@ class TestCompressedRun:
         topk = tiny_config(**base, **{"compressor.kind": "topk", "compressor.k": 3})
         l1 = tiny_config(**base, **{"compressor.kind": "l1"})
         m, d = topk.devices, topk.dimension
-        assert [rm.bytes_up for rm in run_compressed_gd(topk)[1:]] == [12 * 3 * m] * 4
-        assert [rm.bytes_up for rm in run_compressed_gd(l1)[1:]] == [m * (8 + math.ceil(d / 8))] * 4
+        assert [rm.bytes_up for rm in run(topk)[1:]] == [12 * 3 * m] * 4
+        assert [rm.bytes_up for rm in run(l1)[1:]] == [m * (8 + math.ceil(d / 8))] * 4
 
     @pytest.mark.parametrize("kind", ["randk", "topk", "l1", "identity"])
     def test_nominal_bytes_calls_add_up_to_total_bytes(self, monkeypatch, tmp_path, kind):
@@ -417,7 +416,7 @@ class TestCompressedRun:
 
         monkeypatch.setattr(compression, "keep_mask", drawing)
         monkeypatch.setattr(compression, "encode", recording)
-        run_compressed_gd(tiny_config(**{
+        run(tiny_config(**{
             "experiment.algorithm": "robust_compressed",
             "experiment.rounds": 3,
             "compressor.kind": "randk",
@@ -462,7 +461,7 @@ class TestCompressedRun:
             "attack.kind": "gaussian_noise",
             "attack.alpha": 0.2,
         })
-        run_compressed_gd(cfg)
+        run(cfg)
         m, n, d = cfg.devices, cfg.samples_per_device, cfg.dimension
         if kind == "randk":
             assert [mask.shape for mask in masks] == [(m, d)] * 6
@@ -472,10 +471,47 @@ class TestCompressedRun:
             assert masks == [None] * 6
             assert fed == [m * n * d] * 6
 
+class TestPresetStages:
+    @pytest.mark.parametrize("algorithm", list(PRESETS))
+    def test_round_runs_the_stages_the_table_declares(self, monkeypatch, algorithm):
+        from heavyfed import aggregation, compression
+
+        rules, codecs = [], []
+        original_aggregate, original_encode = aggregation.aggregate, compression.encode
+
+        def aggregating(spec, vectors):
+            rules.append(spec)
+            return original_aggregate(spec, vectors)
+
+        def encoding(spec, uploads, rng=None, mask=None):
+            codecs.append(spec)
+            return original_encode(spec, uploads, rng, mask)
+
+        monkeypatch.setattr(aggregation, "aggregate", aggregating)
+        monkeypatch.setattr(compression, "encode", encoding)
+        cfg = tiny_config(**{
+            "experiment.algorithm": algorithm,
+            "experiment.rounds": 1,
+            "data.devices": 10,
+            "aggregator.kind": "krum",
+            "aggregator.beta": 0.3,
+            "aggregator.f": 2,
+            "compressor.kind": "topk",
+            "compressor.k": 4,
+            "attack.alpha": 0.2,
+        })
+        run(cfg)
+        preset = PRESETS[algorithm]
+        [rule] = rules
+        assert rule.kind == (preset.rule or "krum")
+        assert (rule.beta, rule.f) == (0.3, 2)
+        # the honest uploads, then the Byzantine re-encode if the codec is not identity
+        assert (cfg.compressor.kind, cfg.compressor.k) == ("topk", 4)
+        expected = cfg.compressor if preset.codec else CompressorSpec()
+        assert codecs == [expected] * (2 if preset.codec else 1)
+
+
 class TestDispatchAndSeeds:
-    def test_run_dispatches_on_algorithm(self):
-        cfg = tiny_config(**{"experiment.rounds": 2})
-        assert run(cfg) == run_robust_gd(cfg)
 
     def test_stream_seeds_are_distinct(self):
         cfg = tiny_config()
@@ -501,7 +537,7 @@ class TestDispatchAndSeeds:
 
     def test_random_initial_point_is_feasible_and_seeded(self):
         cfg = tiny_config(**{"experiment.w0": "random", "experiment.rounds": 1})
-        a = run_robust_gd(cfg)
-        b = run_robust_gd(cfg)
+        a = run(cfg)
+        b = run(cfg)
         assert a[0].test_loss == b[0].test_loss
         assert a[0].param_err <= cfg.space_radius + 1.0 + 1e-9  # within ball of w*, loosely
