@@ -44,7 +44,7 @@ class AttackSpec:
         if self.kind not in ATTACK_KINDS:
             raise InvalidConfig(f"unknown attack kind {self.kind!r}")
         if not 0.0 <= self.alpha < 0.5:
-            raise InvalidConfig(f"byzantine fraction alpha must lie in [0, 0.5), got {self.alpha}")
+            raise InvalidConfig(f"alpha must be < 0.5 and >= 0 (got {self.alpha})")
         if not math.isfinite(self.strength) or self.strength < 0.0:
             raise InvalidConfig(f"attack strength must be finite and >= 0, got {self.strength}")
 

@@ -172,8 +172,9 @@ def krum(vectors, f: int = 0) -> np.ndarray:
     U = _as_matrix(vectors)
     if f < 0:
         raise InvalidConfig(f"f must be >= 0, got {f}")
-    if U.shape[0] < f + 3:
-        raise TooFewVectors(f"krum needs at least f + 3 = {f + 3} vectors, got {U.shape[0]}")
+    limit = max_f("krum", U.shape[0])
+    if f > limit:
+        raise TooFewVectors(f"krum tolerates f <= {limit} of {U.shape[0]} vectors, got f={f}")
     return U[int(np.argmin(_krum_scores(_sq_distances(U), f)))].copy()
 
 

@@ -8,11 +8,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import echo_config, parse_config
+from .config import AXES, echo_config, parse_config
 from .errors import ConfigError
 from .runner import run_experiment, sweep
-
-AXES = ("alpha", "N", "m", "sigma_x", "compressor")
 
 
 def _parse_values(axis, text):

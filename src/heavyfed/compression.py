@@ -35,8 +35,8 @@ class CompressorSpec:
     def __post_init__(self):
         if self.kind not in COMPRESSOR_KINDS:
             raise InvalidConfig(f"unknown compressor kind {self.kind!r}")
-        if self.kind == "topk" and self.k < 1:
-            raise InvalidConfig(f"topk needs k >= 1, got {self.k}")
+        if self.k < 1:
+            raise InvalidConfig(f"k must be >= 1, got {self.k}")
         if self.kind == "randk" and not 0.0 < self.p <= 1.0:
             raise InvalidConfig(f"randk needs keep probability in (0, 1], got {self.p}")
 

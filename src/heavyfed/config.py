@@ -1,17 +1,22 @@
 """Experiment configuration: file format, validation and resolution.
 
-Config files are INI-style text with one section per subsystem.  Every key
-has a default, so an empty file is a valid experiment; unknown sections or
-keys are errors rather than silently ignored.  ``make_config`` builds the
-same object programmatically from ``"section.key"`` overrides.
+Config files are INI-style text with one section per subsystem.  One table,
+``KEYS``, declares every ``section.key``: its default as the file spells it,
+the parser that checks it, and the ``ExperimentConfig`` field it fills.  An
+empty file is therefore a valid experiment; unknown sections or keys are
+errors rather than silently ignored.  ``make_config`` builds the same object
+programmatically from ``"section.key"`` overrides.
 """
 
 from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 from dataclasses import dataclass, field
+from itertools import groupby
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .adversary import ATTACK_KINDS, AttackSpec, byzantine_count, default_strength
 from .aggregation import AGGREGATOR_KINDS, F_QUOTIENT, AggregatorSpec, max_f, max_trim, trim_count
@@ -38,131 +43,149 @@ PRESETS = {
 }
 ALGORITHMS = tuple(PRESETS)
 
-# section -> key -> default (as the string the file would contain)
-_SCHEMA = {
-    "experiment": {
-        "algorithm": "robust",
-        "rounds": "200",
-        "eta": "auto",
-        "smoothness": "auto",
-        "repetitions": "10",
-        "seed": "0",
-        "seed_data": "",
-        "seed_init": "",
-        "seed_adversary": "",
-        "space_radius": "10.0",
-        "w0": "origin",
-        "out_dir": "results",
-    },
-    "model": {
-        "kind": "linear",
-        "hidden": "8",
-        "objective": "squared",
-    },
-    "data": {
-        "source": "synthetic",
-        "d": "10",
-        "devices": "10",
-        "samples_per_device": "100",
-        "test_samples": "200",
-        "feature_sigma": "auto",
-        "noise": "lognormal",
-        "noise_mu": "0.0",
-        "noise_sigma": "0.55848",
-        "noise_scale": "1.0",
-        "noise_shape": "3.26953",
-        "path": "",
-        "label_column": "",
-        "feature_columns": "",
-        "standardize": "false",
-        "add_bias": "false",
-    },
-    "estimator": {
-        "v": "auto",
-        "diameter": "10.0",
-        "lipschitz": "1.0",
-        "s": "",
-        "tau": "",
-    },
-    "aggregator": {
-        "kind": "mean",
-        "beta": "auto",
-        "f": "auto",
-        "momentum": "0.9",
-        "tol": "1e-8",
-        "max_iter": "1000",
-    },
-    "attack": {
-        "kind": "sign_flip",
-        "alpha": "0.0",
-        "strength": "auto",
-        "dynamic": "false",
-    },
-    "compressor": {
-        "kind": "identity",
-        "k": "auto",
-        "p": "0.5",
-    },
-}
 
-_SECTION_ORDER = tuple(_SCHEMA)
-_TRUE = {"1", "true", "yes", "on"}
-_FALSE = {"0", "false", "no", "off"}
+# Parsers read a key's text and return its value, or raise ValueError with
+# the reason; _parse names the key.  Ranges that a spec checks are left to it.
+
+
+def _int(minimum=None):
+    def parse(raw):
+        try:
+            value = int(raw)
+        except ValueError:
+            raise ValueError(f"expected an integer, got {raw!r}") from None
+        if minimum is not None and value < minimum:
+            raise ValueError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return parse
+
+
+def _float(raw):
+    try:
+        value = float(raw)
+    except ValueError:
+        raise ValueError(f"expected a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {raw!r}")
+    return value
+
+
+def _positive(raw):
+    value = _float(raw)
+    if value <= 0.0:
+        raise ValueError(f"must be > 0, got {value}")
+    return value
+
+
+def _enum(*choices):
+    def parse(raw):
+        if raw not in choices:
+            raise ValueError(f"must be one of {', '.join(choices)}; got {raw!r}")
+        return raw
+
+    return parse
+
+
+def _bool(raw):
+    lowered = raw.lower()
+    if lowered in ("1", "true", "yes", "on"):
+        return True
+    if lowered in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"expected a boolean, got {raw!r}")
+
+
+def _text(raw):
+    return raw
+
+
+def _columns(raw):
+    return tuple(c.strip() for c in raw.split(",") if c.strip()) or None
+
+
+def _auto(parse):
+    """``auto`` reads as None: the value is derived from the rest of the config."""
+    return lambda raw: None if raw == "auto" else parse(raw)
+
+
+def _blank(parse):
+    """A blank value reads as None: unset."""
+    return lambda raw: None if raw == "" else parse(raw)
+
+
+class Key(NamedTuple):
+    default: str  # as the file spells it
+    parse: Callable[[str], object]
+    field: str | None = None  # ExperimentConfig field; None: _resolve combines or derives it
+
+
+KEYS = {
+    "experiment.algorithm": Key("robust", _enum(*ALGORITHMS), "algorithm"),
+    "experiment.rounds": Key("200", _int(1), "rounds"),
+    "experiment.eta": Key("auto", _auto(_positive), "eta"),
+    "experiment.smoothness": Key("auto", _auto(_positive), "smoothness"),
+    "experiment.repetitions": Key("10", _int(1), "repetitions"),
+    "experiment.seed": Key("0", _int(0), "seed"),
+    "experiment.seed_data": Key("", _blank(_int(0)), "seed_data"),
+    "experiment.seed_init": Key("", _blank(_int(0)), "seed_init"),
+    "experiment.seed_adversary": Key("", _blank(_int(0)), "seed_adversary"),
+    "experiment.space_radius": Key("10.0", _positive, "space_radius"),
+    "experiment.w0": Key("origin", _enum("origin", "random"), "w0"),
+    "experiment.out_dir": Key("results", _text, "out_dir"),
+    "model.kind": Key("linear", _enum(*MODEL_KINDS), "model_kind"),
+    "model.hidden": Key("8", _int(1), "mlp_hidden"),
+    "model.objective": Key("squared", _enum(*MLP_OBJECTIVES), "mlp_objective"),
+    "data.source": Key("synthetic", _enum("synthetic", "csv"), "source"),
+    "data.d": Key("10", _int(1), "dimension"),
+    "data.devices": Key("10", _int(1), "devices"),
+    "data.samples_per_device": Key("100", _int(1), "samples_per_device"),
+    "data.test_samples": Key("200", _int(1), "test_samples"),
+    "data.feature_sigma": Key("auto", _auto(_positive), "feature_sigma"),
+    "data.noise": Key("lognormal", _enum(*NOISE_KINDS)),
+    "data.noise_mu": Key("0.0", _float),
+    "data.noise_sigma": Key("0.55848", _float),
+    "data.noise_scale": Key("1.0", _float),
+    "data.noise_shape": Key("3.26953", _float),
+    "data.path": Key("", _blank(_text), "csv_path"),
+    "data.label_column": Key("", _blank(_text), "csv_label"),
+    "data.feature_columns": Key("", _columns, "csv_features"),
+    "data.standardize": Key("false", _bool, "csv_standardize"),
+    "data.add_bias": Key("false", _bool, "csv_add_bias"),
+    "estimator.v": Key("auto", _auto(_positive)),
+    "estimator.diameter": Key("10.0", _positive, "diameter"),
+    "estimator.lipschitz": Key("1.0", _positive, "lipschitz"),
+    "estimator.s": Key("", _blank(_positive), "est_s"),
+    "estimator.tau": Key("", _blank(_positive), "est_tau"),
+    "aggregator.kind": Key("mean", _enum(*AGGREGATOR_KINDS)),
+    "aggregator.beta": Key("auto", _auto(_float)),
+    "aggregator.f": Key("auto", _auto(_int())),
+    "aggregator.momentum": Key("0.9", _float),
+    "aggregator.tol": Key("1e-8", _float),
+    "aggregator.max_iter": Key("1000", _int()),
+    "attack.kind": Key("sign_flip", _enum(*ATTACK_KINDS)),
+    "attack.alpha": Key("0.0", _float),
+    "attack.strength": Key("auto", _auto(_float)),
+    "attack.dynamic": Key("false", _bool),
+    "compressor.kind": Key("identity", _enum(*COMPRESSOR_KINDS)),
+    "compressor.k": Key("auto", _auto(_int())),
+    "compressor.p": Key("0.5", _float),
+}
 
 
 def _defaults() -> dict:
-    return {f"{s}.{k}": v for s, keys in _SCHEMA.items() for k, v in keys.items()}
+    return {key: row.default for key, row in KEYS.items()}
 
 
 def _fail(fieldname, reason):
     raise ConfigError(fieldname, reason)
 
 
-def _parse_int(name, raw, minimum=None):
+def _parse(key, parse, raw):
     try:
-        value = int(raw)
-    except ValueError:
-        _fail(name, f"expected an integer, got {raw!r}")
-    if minimum is not None and value < minimum:
-        _fail(name, f"must be >= {minimum}, got {value}")
-    return value
-
-
-def _parse_float(name, raw, positive=False):
-    try:
-        value = float(raw)
-    except ValueError:
-        _fail(name, f"expected a number, got {raw!r}")
-    if positive and not value > 0.0:
-        _fail(name, f"must be > 0, got {value}")
-    return value
-
-
-def _parse_bool(name, raw):
-    lowered = str(raw).lower()
-    if lowered in _TRUE:
-        return True
-    if lowered in _FALSE:
-        return False
-    _fail(name, f"expected a boolean, got {raw!r}")
-
-
-def _parse_enum(name, raw, choices):
-    if raw not in choices:
-        _fail(name, f"must be one of {', '.join(choices)}; got {raw!r}")
-    return raw
-
-
-def _parse_auto_float(name, raw, positive=True):
-    if raw == "auto":
-        return None
-    return _parse_float(name, raw, positive=positive)
-
-
-def _parse_opt_int(name, raw):
-    if raw == "":
-        return None
-    return _parse_int(name, raw, minimum=0)
+        return parse(raw)
+    except ValueError as exc:
+        raise ConfigError(key, str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -196,7 +219,7 @@ class ExperimentConfig:
     est_s: float | None
     est_tau: float | None
     aggregator: AggregatorSpec  # the rule the server runs, kind resolved by the preset
-    compressor: CompressorSpec
+    compressor: CompressorSpec  # identity where the preset sends dense uploads
     attack: AttackSpec
     seed: int
     seed_data: int | None
@@ -209,11 +232,6 @@ class ExperimentConfig:
     @property
     def preset(self) -> Preset:
         return PRESETS[self.algorithm]
-
-    @property
-    def codec(self) -> CompressorSpec:
-        """The codec the uploads go through: the configured one, or dense."""
-        return self.compressor if self.preset.codec else CompressorSpec()
 
     def resolved_feature_sigma(self) -> float:
         if self.feature_sigma is not None:
@@ -233,20 +251,18 @@ class ExperimentConfig:
         return default_params(n, m, d, self.v, self.diameter, self.lipschitz, variant)
 
 
-def _resolve_beta(raw, alpha, m, rule):
-    """Trim fraction for the rule that runs: auto is alpha + 0.05 capped at the
-    rule's trim limit; a rule that trims nothing admits any beta >= alpha."""
+def _resolve_beta(beta, alpha, m, rule):
+    """Trim fraction for the rule that runs: auto (None) is alpha + 0.05 capped
+    at the rule's trim limit; a rule that trims nothing admits any beta >= alpha.
+    ``trim_count`` and the spec refuse a beta outside [0, 0.5)."""
     limit = max_trim(rule, m)
-    if raw == "auto":
+    if beta is None:
         if limit is None:
             return alpha
         beta = min(alpha + 0.05, limit / m, 0.499)
         if beta < alpha:
             _fail("aggregator.beta", f"no feasible trim fraction >= alpha={alpha} with m={m} devices")
         return beta
-    beta = _parse_float("aggregator.beta", raw)
-    if not 0.0 <= beta < 0.5:
-        _fail("aggregator.beta", f"beta must lie in [0, 0.5), got {beta}")
     if beta < alpha:
         _fail("aggregator.beta", f"beta must be at least alpha (alpha={alpha}, beta={beta})")
     if limit is not None and trim_count(beta, m) > limit:
@@ -254,11 +270,10 @@ def _resolve_beta(raw, alpha, m, rule):
     return beta
 
 
-def _resolve_f(raw, alpha, m, rule):
-    """Byzantine count the rule tolerates: auto is floor(alpha * m) capped at its limit."""
+def _resolve_f(f, alpha, m, rule):
+    """Byzantine count the rule tolerates: auto (None) is floor(alpha * m) capped at its limit."""
     limit = max_f(rule, m)
-    if raw != "auto":
-        f = _parse_int("aggregator.f", raw, minimum=0)
+    if f is not None:
         if limit is not None and f > limit:
             _fail("aggregator.f", f"f must be <= floor((m - 3) / {F_QUOTIENT[rule]}) for {rule} (m={m}, f={f})")
         return f
@@ -269,158 +284,104 @@ def _resolve_f(raw, alpha, m, rule):
     return min(byzantine_count(alpha, m), limit)
 
 
-def _build(raw: dict) -> ExperimentConfig:
-    get = raw.__getitem__
-
-    algorithm = _parse_enum("experiment.algorithm", get("experiment.algorithm"), ALGORITHMS)
-    rounds = _parse_int("experiment.rounds", get("experiment.rounds"), minimum=1)
-    repetitions = _parse_int("experiment.repetitions", get("experiment.repetitions"), minimum=1)
-    seed = _parse_int("experiment.seed", get("experiment.seed"), minimum=0)
-    seed_data = _parse_opt_int("experiment.seed_data", get("experiment.seed_data"))
-    seed_init = _parse_opt_int("experiment.seed_init", get("experiment.seed_init"))
-    seed_adversary = _parse_opt_int("experiment.seed_adversary", get("experiment.seed_adversary"))
-    eta = _parse_auto_float("experiment.eta", get("experiment.eta"))
-    smoothness = _parse_auto_float("experiment.smoothness", get("experiment.smoothness"))
-    space_radius = _parse_float("experiment.space_radius", get("experiment.space_radius"), positive=True)
-    w0 = _parse_enum("experiment.w0", get("experiment.w0"), ("origin", "random"))
-    out_dir = get("experiment.out_dir")
-
-    model_kind = _parse_enum("model.kind", get("model.kind"), MODEL_KINDS)
-    mlp_hidden = _parse_int("model.hidden", get("model.hidden"), minimum=1)
-    mlp_objective = _parse_enum("model.objective", get("model.objective"), MLP_OBJECTIVES)
-
-    source = _parse_enum("data.source", get("data.source"), ("synthetic", "csv"))
-    dimension = _parse_int("data.d", get("data.d"), minimum=1)
-    devices = _parse_int("data.devices", get("data.devices"), minimum=1)
-    samples_per_device = _parse_int("data.samples_per_device", get("data.samples_per_device"), minimum=1)
-    test_samples = _parse_int("data.test_samples", get("data.test_samples"), minimum=1)
-    feature_sigma = _parse_auto_float("data.feature_sigma", get("data.feature_sigma"))
-
-    noise_kind = _parse_enum("data.noise", get("data.noise"), NOISE_KINDS)
-    try:
-        noise = NoiseSpec(
-            kind=noise_kind,
-            mu=_parse_float("data.noise_mu", get("data.noise_mu")),
-            sigma=_parse_float("data.noise_sigma", get("data.noise_sigma")),
-            scale=_parse_float("data.noise_scale", get("data.noise_scale")),
-            shape=_parse_float("data.noise_shape", get("data.noise_shape")),
-        )
-    except InvalidConfig as exc:
-        _fail("data.noise", str(exc))
-
-    csv_path = get("data.path") or None
-    csv_label = get("data.label_column") or None
-    raw_cols = get("data.feature_columns")
-    csv_features = tuple(c.strip() for c in raw_cols.split(",") if c.strip()) or None
-    csv_standardize = _parse_bool("data.standardize", get("data.standardize"))
-    csv_add_bias = _parse_bool("data.add_bias", get("data.add_bias"))
+def _resolve(raw: dict) -> ExperimentConfig:
+    value = {key: _parse(key, row.parse, raw[key]) for key, row in KEYS.items()}
+    source, model_kind, d, m = value["data.source"], value["model.kind"], value["data.d"], value["data.devices"]
 
     if source == "synthetic" and model_kind == "mlp":
         _fail("model.kind", "synthetic data generation supports linear and logistic models only")
     if source == "csv":
-        if csv_path is None:
+        if value["data.path"] is None:
             _fail("data.path", "csv source requires a file path")
-        if csv_label is None:
+        if value["data.label_column"] is None:
             _fail("data.label_column", "csv source requires a label column")
-    if model_kind == "mlp" and eta is None and smoothness is None:
+    if model_kind == "mlp" and value["experiment.eta"] is None and value["experiment.smoothness"] is None:
         _fail("experiment.eta", "mlp runs need eta or smoothness set explicitly")
+    if (value["estimator.s"] is None) != (value["estimator.tau"] is None):
+        _fail("estimator.s", "manual schedule override needs both s and tau")
 
-    attack_kind = _parse_enum("attack.kind", get("attack.kind"), ATTACK_KINDS)
-    alpha = _parse_float("attack.alpha", get("attack.alpha"))
-    if not 0.0 <= alpha < 0.5:
-        _fail("attack.alpha", f"alpha must be < 0.5 and >= 0 (got {alpha})")
-    raw_strength = get("attack.strength")
-    strength = default_strength(attack_kind) if raw_strength == "auto" else _parse_float(
-        "attack.strength", raw_strength
-    )
-    dynamic = _parse_bool("attack.dynamic", get("attack.dynamic"))
     try:
-        attack = AttackSpec(kind=attack_kind, strength=strength, alpha=alpha, dynamic=dynamic)
+        noise = NoiseSpec(
+            kind=value["data.noise"],
+            mu=value["data.noise_mu"],
+            sigma=value["data.noise_sigma"],
+            scale=value["data.noise_scale"],
+            shape=value["data.noise_shape"],
+        )
+    except InvalidConfig as exc:
+        _fail("data.noise", str(exc))
+    v = value["estimator.v"]
+    if v is None:
+        if source == "csv":
+            _fail("estimator.v", "no known moment bound for csv data; set v explicitly")
+        try:
+            v = noise.variance()
+        except OverflowError:
+            v = math.inf
+        if not 0.0 < v < math.inf:
+            _fail("data.noise", f"auto v needs a finite, positive noise variance, got {v}")
+
+    attack_kind, strength = value["attack.kind"], value["attack.strength"]
+    try:
+        attack = AttackSpec(
+            kind=attack_kind,
+            strength=default_strength(attack_kind) if strength is None else strength,
+            alpha=value["attack.alpha"],
+            dynamic=value["attack.dynamic"],
+        )
     except InvalidConfig as exc:
         _fail("attack", str(exc))
 
-    agg_kind = _parse_enum("aggregator.kind", get("aggregator.kind"), AGGREGATOR_KINDS)
-    momentum = _parse_float("aggregator.momentum", get("aggregator.momentum"))
-    tol = _parse_float("aggregator.tol", get("aggregator.tol"), positive=True)
-    max_iter = _parse_int("aggregator.max_iter", get("aggregator.max_iter"), minimum=1)
-
-    rule = PRESETS[algorithm].rule or agg_kind
-    beta = _resolve_beta(get("aggregator.beta"), alpha, devices, rule)
-    f = _resolve_f(get("aggregator.f"), alpha, devices, rule)
+    rule = PRESETS[value["experiment.algorithm"]].rule or value["aggregator.kind"]
     try:
-        aggregator = AggregatorSpec(kind=rule, beta=beta, f=f, momentum=momentum, tol=tol, max_iter=max_iter)
+        aggregator = AggregatorSpec(
+            kind=rule,
+            beta=_resolve_beta(value["aggregator.beta"], attack.alpha, m, rule),
+            f=_resolve_f(value["aggregator.f"], attack.alpha, m, rule),
+            momentum=value["aggregator.momentum"],
+            tol=value["aggregator.tol"],
+            max_iter=value["aggregator.max_iter"],
+        )
     except InvalidConfig as exc:
         _fail("aggregator", str(exc))
 
-    comp_kind = _parse_enum("compressor.kind", get("compressor.kind"), COMPRESSOR_KINDS)
-    raw_k = get("compressor.k")
-    if raw_k == "auto":
+    comp_kind, k = value["compressor.kind"], value["compressor.k"]
+    if k is None:
         if comp_kind == "topk" and source == "csv":
             _fail("compressor.k", "set k explicitly for csv data (dimension unknown until load)")
-        k = max(dimension // 2, 1)
-    else:
-        k = _parse_int("compressor.k", raw_k, minimum=1)
-    p = _parse_float("compressor.p", get("compressor.p"))
-    if comp_kind == "topk" and source == "synthetic" and model_kind != "mlp" and k > dimension:
-        _fail("compressor.k", f"k={k} exceeds model dimension {dimension}")
+        k = max(d // 2, 1)
+    if comp_kind == "topk" and source == "synthetic" and k > d:
+        _fail("compressor.k", f"k={k} exceeds model dimension {d}")
     try:
-        compressor = CompressorSpec(kind=comp_kind, k=k, p=p)
+        compressor = CompressorSpec(kind=comp_kind, k=k, p=value["compressor.p"])
     except InvalidConfig as exc:
         _fail("compressor", str(exc))
 
-    raw_v = get("estimator.v")
-    if raw_v == "auto":
-        if source == "csv":
-            _fail("estimator.v", "no known moment bound for csv data; set v explicitly")
-        v = noise.variance()
-    else:
-        v = _parse_float("estimator.v", raw_v, positive=True)
-    diameter = _parse_float("estimator.diameter", get("estimator.diameter"), positive=True)
-    lipschitz = _parse_float("estimator.lipschitz", get("estimator.lipschitz"), positive=True)
-    raw_s, raw_tau = get("estimator.s"), get("estimator.tau")
-    if (raw_s == "") != (raw_tau == ""):
-        _fail("estimator.s", "manual schedule override needs both s and tau")
-    est_s = _parse_float("estimator.s", raw_s, positive=True) if raw_s else None
-    est_tau = _parse_float("estimator.tau", raw_tau, positive=True) if raw_tau else None
-
+    fields = {row.field: value[key] for key, row in KEYS.items() if row.field}
     return ExperimentConfig(
-        algorithm=algorithm,
-        model_kind=model_kind,
-        mlp_hidden=mlp_hidden,
-        mlp_objective=mlp_objective,
-        source=source,
-        dimension=dimension,
-        devices=devices,
-        samples_per_device=samples_per_device,
-        test_samples=test_samples,
-        feature_sigma=feature_sigma,
-        noise=noise,
-        csv_path=csv_path,
-        csv_label=csv_label,
-        csv_features=csv_features,
-        csv_standardize=csv_standardize,
-        csv_add_bias=csv_add_bias,
-        rounds=rounds,
-        eta=eta,
-        smoothness=smoothness,
-        space_radius=space_radius,
-        w0=w0,
-        v=v,
-        diameter=diameter,
-        lipschitz=lipschitz,
-        est_s=est_s,
-        est_tau=est_tau,
-        aggregator=aggregator,
-        compressor=compressor,
-        attack=attack,
-        seed=seed,
-        seed_data=seed_data,
-        seed_init=seed_init,
-        seed_adversary=seed_adversary,
-        repetitions=repetitions,
-        out_dir=out_dir,
-        raw=dict(raw),
+        **fields, noise=noise, v=v, aggregator=aggregator, compressor=compressor, attack=attack, raw=dict(raw)
     )
+
+
+def _ignored(config: ExperimentConfig) -> list:
+    """Keys the run does not read, from what the preset and the rule declare."""
+    rule, m = config.aggregator.kind, config.devices
+    keys = [key for key in KEYS if key.startswith("compressor.")] if not config.preset.codec else []
+    if config.preset.rule is not None:
+        keys.append("aggregator.kind")
+    if max_f(rule, m) is None:
+        keys.append("aggregator.f")
+    if max_trim(rule, m) is None:
+        keys.append("aggregator.beta")
+    return keys
+
+
+def _build(raw: dict) -> ExperimentConfig:
+    """Resolve ``raw``.  A key the run does not read is still validated, then
+    resolved at its default, so the echo and the digest show it there."""
+    config = _resolve(raw)
+    read = {**raw, **{key: KEYS[key].default for key in _ignored(config)}}
+    return config if read == raw else _resolve(read)
 
 
 def _stringify(value) -> str:
@@ -455,30 +416,33 @@ def parse_config(path) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError("config", f"parse failure: {exc}") from None
     raw = _defaults()
+    sections = {key.partition(".")[0] for key in KEYS}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in sections:
             raise ConfigError(section, "unknown section")
         for key, value in parser.items(section):
-            if key not in _SCHEMA[section]:
-                raise ConfigError(f"{section}.{key}", "unknown key")
-            raw[f"{section}.{key}"] = value.strip()
+            name = f"{section}.{key}"
+            if name not in KEYS:
+                raise ConfigError(name, "unknown key")
+            raw[name] = value.strip()
     return _build(raw)
 
 
 def echo_config(config: ExperimentConfig) -> str:
     """Normalized listing of every key with resolved values."""
-    resolved = dict(config.raw)
-    resolved["aggregator.beta"] = repr(config.aggregator.beta)
-    resolved["aggregator.f"] = str(config.aggregator.f)
-    resolved["attack.strength"] = repr(config.attack.strength)
-    resolved["estimator.v"] = repr(config.v)
-    resolved["data.feature_sigma"] = repr(config.resolved_feature_sigma())
-    resolved["compressor.k"] = str(config.compressor.k)
+    resolved = {
+        **config.raw,
+        "aggregator.beta": repr(config.aggregator.beta),
+        "aggregator.f": str(config.aggregator.f),
+        "attack.strength": repr(config.attack.strength),
+        "estimator.v": repr(config.v),
+        "data.feature_sigma": repr(config.resolved_feature_sigma()),
+        "compressor.k": str(config.compressor.k),
+    }
     lines = []
-    for section in _SECTION_ORDER:
+    for section, keys in groupby(KEYS, key=lambda key: key.partition(".")[0]):
         lines.append(f"[{section}]")
-        for key in _SCHEMA[section]:
-            lines.append(f"{key} = {resolved[f'{section}.{key}']}")
+        lines += [f"{key.partition('.')[2]} = {resolved[key]}" for key in keys]
         lines.append("")
     return "\n".join(lines)
 
@@ -488,20 +452,23 @@ def config_digest(config: ExperimentConfig) -> str:
     return hashlib.sha256(echo_config(config).encode("utf-8")).hexdigest()[:16]
 
 
+AXES = ("alpha", "N", "m", "sigma_x", "compressor")
+
+
 def apply_axis(config: ExperimentConfig, axis: str, value) -> ExperimentConfig:
-    """Rebuild a config with one sweep axis changed; everything else fixed."""
+    """Rebuild a config with one sweep axis (one of ``AXES``) changed; everything else fixed."""
     raw = dict(config.raw)
     if axis == "alpha":
         raw["attack.alpha"] = _stringify(value)
     elif axis == "sigma_x":
         raw["data.feature_sigma"] = _stringify(value)
     elif axis == "N":
-        total = _parse_int("sweep.N", _stringify(value), minimum=1)
+        total = _parse("sweep.N", _int(1), _stringify(value))
         if total % config.devices:
             _fail("sweep.N", f"N={total} is not divisible by devices={config.devices}")
         raw["data.samples_per_device"] = str(total // config.devices)
     elif axis == "m":
-        m_new = _parse_int("sweep.m", _stringify(value), minimum=1)
+        m_new = _parse("sweep.m", _int(1), _stringify(value))
         total = config.devices * config.samples_per_device
         if total % m_new:
             _fail("sweep.m", f"N={total} is not divisible by m={m_new}")

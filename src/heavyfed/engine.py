@@ -209,7 +209,7 @@ def run(config: ExperimentConfig, rep: int = 0) -> list[RoundMetrics]:
     space = ParamSpace(np.zeros(d), config.space_radius)
     w = _initial_point(config, rep, d, space)
 
-    codec, rule = config.codec, config.aggregator
+    codec, rule = config.compressor, config.aggregator
     local = _local_stage(model, shards, config.estimator_params(n=len(shards), m=m, d=d), rule)
     adv_seed = stream_seed(config, rep, "adversary")
     comp_seed = stream_seed(config, rep, "compressor")

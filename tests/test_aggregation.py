@@ -165,6 +165,8 @@ class TestKrum:
     def test_too_few(self):
         with pytest.raises(TooFewVectors):
             krum(vec(1, 2, 3), f=1)
+        with pytest.raises(TooFewVectors):
+            krum(np.zeros((10, 2)), f=7)  # max_f("krum", 10) = 3
         with pytest.raises(InvalidConfig):
             krum(vec(1, 2, 3, 4), f=-1)
 

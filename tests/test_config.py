@@ -1,3 +1,6 @@
+import configparser
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -13,7 +16,7 @@ from heavyfed import (
     parse_config,
 )
 from heavyfed.aggregation import AGGREGATOR_KINDS
-from heavyfed.config import ALGORITHMS, PRESETS
+from heavyfed.config import ALGORITHMS, KEYS, PRESETS
 
 
 def write(tmp_path, text):
@@ -109,7 +112,20 @@ class TestValidation:
             "aggregator.beta": 0.4,
             "attack.alpha": 0.3,
         })
-        assert (cfg.aggregator.kind, cfg.aggregator.beta) == ("mean", 0.4)
+        # mean reads no beta: a valid one is accepted, then resolved as auto (alpha)
+        assert (cfg.aggregator.kind, cfg.aggregator.beta) == ("mean", 0.3)
+
+    @pytest.mark.parametrize("overrides, fieldname", [
+        ({"compressor.kind": "gzip"}, "compressor.kind"),
+        ({"compressor.kind": "topk", "compressor.k": 11}, "compressor.k"),
+        ({"aggregator.kind": "median"}, "aggregator.kind"),
+        ({"aggregator.f": -1}, "aggregator"),
+        ({"experiment.algorithm": "baseline", "aggregator.kind": "krum", "aggregator.beta": 0.1}, "aggregator.beta"),
+    ])
+    def test_ignored_keys_are_still_validated(self, overrides, fieldname):
+        with pytest.raises(ConfigError) as info:
+            make_config({"attack.alpha": 0.2, **overrides})
+        assert info.value.field == fieldname
 
     def test_robust_preset_refuses_an_infeasible_alpha_whatever_the_kind(self):
         with pytest.raises(ConfigError, match="no feasible trim fraction"):
@@ -198,44 +214,35 @@ class TestDigest:
 
 # Digests of every preset under every aggregator kind at alpha = 0.2, m = 10,
 # in the order of _BETA_F: beta and f auto, beta explicit, f explicit, both.
-# The echo prints the raw kind and the resolved beta, f and k, so a change to
-# how presets resolve their rule must leave every one of these in place.
+# The echo prints the resolved beta, f and k, and a key the run does not read
+# at its default: the compressor where uploads go dense, aggregator.kind where
+# the preset fixes the rule, and f and beta where the rule takes none.  So
+# robust and robust_compressed, whose rules read no f, give one digest per
+# column under every kind, and a pin moves only where an ignored key is set.
 _BETA_F = (
     {},
     {"aggregator.beta": 0.3},
     {"aggregator.f": 1},
     {"aggregator.beta": 0.3, "aggregator.f": 1},
 )
+_PRESET_COLUMNS = {
+    "robust": ("14eda80c5bcb0d83", "24a1d76851c4ea51", "14eda80c5bcb0d83", "24a1d76851c4ea51"),
+    "robust_compressed": ("fdeaa5154f546ea3", "01463f8e9201d767", "fdeaa5154f546ea3", "01463f8e9201d767"),
+}
 _PINNED_GRID = {
-    ("robust", "mean"): ("14eda80c5bcb0d83", "24a1d76851c4ea51", "d692996d22c039d0", "b3ece0dd12331f20"),
-    ("robust", "coord_trimmed"): ("e964b937772c0160", "e3582dc3c49f7b6c", "4d3e1e8366585c9d", "0d856046fda113f0"),
-    ("robust", "norm_trimmed"): ("ff84a1a4e8e1bb44", "fa9e8893292bbb77", "05fd284f8d66bfaf", "a47069205e07b0c5"),
-    ("robust", "coord_median"): ("b6c33a915fd1a688", "6087f235db7cf444", "d5803fe82f764831", "a41257f1721874cb"),
-    ("robust", "geo_median"): ("8330eb00e8ccf716", "93520ab4295be8df", "79021ff40807bef5", "28084340a6d4f834"),
-    ("robust", "krum"): ("5f4e221c628e377d", "6b13999dfd23a3b4", "85a7d8ab4dbaef59", "52ffbc0432269e6f"),
-    ("robust", "bulyan"): ("dcb6aef371ef6149", "a7a25280144af9fc", "e638351017dd043a", "3994d98ac1cb50d1"),
-    ("robust", "mkrum"): ("4e045437c56ccf9b", "e85f3d25d31e8055", "2757ec2b60ef750e", "fa21b4f66247851a"),
-    ("robust_compressed", "mean"): ("fdeaa5154f546ea3", "01463f8e9201d767", "31c243030e3ce20f", "6d19755e16a53636"),
-    ("robust_compressed", "coord_trimmed"): ("cef7cdc86712b8fd", "355408e368e48152", "1e089908fc736b09", "c75324089d80192f"),
-    ("robust_compressed", "norm_trimmed"): ("5680f13ca46e6081", "af37f479fc62703e", "37421a33e32adf63", "46fc1e74abb734a6"),
-    ("robust_compressed", "coord_median"): ("c9f90b299a283a7a", "97e0e42a20f122f4", "c6f1a4f314f0cf5d", "44f2ad2d0532da72"),
-    ("robust_compressed", "geo_median"): ("f7609b5a3830f649", "05b2e0eff487d0fe", "7ce299f742f90435", "b3909aa1d645d33d"),
-    ("robust_compressed", "krum"): ("d76cba0404b58463", "8b438c7fac0a9de3", "4f7e43b5472b2f83", "4429bf3ca00a83eb"),
-    ("robust_compressed", "bulyan"): ("1541ff6f3d5f623b", "fa90d8a4f7934c87", "a6cc40113e8fcae6", "6f86ea2f00516933"),
-    ("robust_compressed", "mkrum"): ("60c0cb4df3b95822", "00f809f853ece36f", "3ec1d21c73938874", "3de761760443e6a4"),
-    ("baseline", "mean"): ("d641923cb081eb6e", "2857e3adcf752ec9", "8f8dbeabd37e2a39", "f56a16144c44e4d6"),
-    ("baseline", "coord_trimmed"): ("99865b3ce750cd61", "383da692c01bfa6f", "45a1a12d4ce336bb", "86db6637a3653692"),
-    ("baseline", "norm_trimmed"): ("5817373f8657c39f", "57e6284d2ee6d4b5", "544eb393cea5f653", "88471fc8e88d6fa6"),
-    ("baseline", "coord_median"): ("c6b8a057214cc5c5", "249b8ebe654a7d4a", "bf08ddd91843a7c5", "f0c15fd78ef4f1e6"),
-    ("baseline", "geo_median"): ("20465fba37c72e3d", "8b24c0f6d85b8fac", "3d85d3cd2760afb0", "29d74b7b63ddf364"),
-    ("baseline", "krum"): ("f3a60bc547634ee3", "ade35808d0a39740", "f347c811193b476c", "68885f4a5ad89e4d"),
-    ("baseline", "bulyan"): ("08280d57a36a5a5c", "cdc5a6652cd40588", "08280d57a36a5a5c", "cdc5a6652cd40588"),
-    ("baseline", "mkrum"): ("d4912faa1bd46bf4", "b989f7e7253bfe3a", "2a3f53f32595eb4a", "a235b1931e991bf2"),
+    ("baseline", "mean"): ("d641923cb081eb6e", "d641923cb081eb6e", "d641923cb081eb6e", "d641923cb081eb6e"),
+    ("baseline", "coord_trimmed"): ("99865b3ce750cd61", "383da692c01bfa6f", "99865b3ce750cd61", "383da692c01bfa6f"),
+    ("baseline", "norm_trimmed"): ("5817373f8657c39f", "57e6284d2ee6d4b5", "5817373f8657c39f", "57e6284d2ee6d4b5"),
+    ("baseline", "coord_median"): ("c6b8a057214cc5c5", "c6b8a057214cc5c5", "c6b8a057214cc5c5", "c6b8a057214cc5c5"),
+    ("baseline", "geo_median"): ("20465fba37c72e3d", "20465fba37c72e3d", "20465fba37c72e3d", "20465fba37c72e3d"),
+    ("baseline", "krum"): ("f3a60bc547634ee3", "f3a60bc547634ee3", "f347c811193b476c", "f347c811193b476c"),
+    ("baseline", "bulyan"): ("08280d57a36a5a5c", "08280d57a36a5a5c", "08280d57a36a5a5c", "08280d57a36a5a5c"),
+    ("baseline", "mkrum"): ("d4912faa1bd46bf4", "d4912faa1bd46bf4", "2a3f53f32595eb4a", "2a3f53f32595eb4a"),
 }
 # Points where a cap binds or a setting is configured but unused.
 _PINNED_POINTS = {
-    "robust-ignored-randk": ({"attack.alpha": 0.2, "compressor.kind": "randk", "compressor.p": 0.3}, "f1a434b044cc0cd4"),
-    "robust-explicit-f": ({"attack.alpha": 0.2, "aggregator.f": 3}, "8f35e768f5dd48f1"),
+    "robust-ignored-randk": ({"attack.alpha": 0.2, "compressor.kind": "randk", "compressor.p": 0.3}, "14eda80c5bcb0d83"),
+    "robust-explicit-f": ({"attack.alpha": 0.2, "aggregator.f": 3}, "14eda80c5bcb0d83"),
     "robust-m4-capped-beta": ({"data.devices": 4, "attack.alpha": 0.25}, "85f34af98f5bc920"),
     "compressed-m3-capped-beta": (
         {"experiment.algorithm": "robust_compressed", "data.devices": 3, "attack.alpha": 0.45},
@@ -250,29 +257,81 @@ _PINNED_POINTS = {
         "147666b87cfa96e2",
     ),
 }
+_GRID = [(algorithm, kind) for algorithm in ALGORITHMS for kind in AGGREGATOR_KINDS]
+
+
+def _grid_overrides(algorithm, kind, extra):
+    return {"attack.alpha": 0.2, "experiment.algorithm": algorithm, "aggregator.kind": kind, **extra}
 
 
 class TestDigestPins:
     def test_grid_covers_every_preset_and_kind(self):
-        assert set(_PINNED_GRID) == {(a, k) for a in ALGORITHMS for k in AGGREGATOR_KINDS}
+        assert set(_PRESET_COLUMNS) == {a for a in ALGORITHMS if PRESETS[a].rule is not None}
+        assert set(_PINNED_GRID) | {(a, k) for a in _PRESET_COLUMNS for k in AGGREGATOR_KINDS} == set(_GRID)
 
-    @pytest.mark.parametrize("algorithm, kind", list(_PINNED_GRID), ids=lambda v: v)
+    @pytest.mark.parametrize("algorithm, kind", _GRID, ids=lambda v: v)
     def test_preset_and_rule_grid(self, algorithm, kind):
-        digests = tuple(
-            config_digest(make_config({
-                "attack.alpha": 0.2,
-                "experiment.algorithm": algorithm,
-                "aggregator.kind": kind,
-                **extra,
-            }))
-            for extra in _BETA_F
-        )
-        assert digests == _PINNED_GRID[algorithm, kind]
+        digests = tuple(config_digest(make_config(_grid_overrides(algorithm, kind, extra))) for extra in _BETA_F)
+        expected = _PRESET_COLUMNS[algorithm] if algorithm in _PRESET_COLUMNS else _PINNED_GRID[algorithm, kind]
+        assert digests == expected
 
     @pytest.mark.parametrize("name", list(_PINNED_POINTS))
     def test_single_points(self, name):
         overrides, digest = _PINNED_POINTS[name]
         assert config_digest(make_config(overrides)) == digest
+
+
+# Each key is set alone to each of these.  A float key must refuse the values
+# in _NON_FINITE, which float() reads as inf or nan.
+_PROBES = ("", "auto", "0", "-1", "1e5", "1e400", "inf", "nan", "abc", "true")
+_NON_FINITE = ("1e400", "inf", "nan")
+
+
+def _reads_a_float(key):
+    try:
+        return isinstance(KEYS[key].parse("0.5"), float)
+    except ValueError:
+        return False
+
+
+class TestKeyTable:
+    @pytest.mark.parametrize("key", list(KEYS))
+    def test_each_value_builds_or_is_refused(self, key):
+        for raw in _PROBES:
+            try:
+                make_config({key: raw})
+            except ConfigError:
+                continue
+            assert not (raw in _NON_FINITE and _reads_a_float(key)), f"{key} = {raw} accepted"
+
+    def test_echo_parses_back_to_the_same_digest(self, tmp_path):
+        cases = [
+            *(_grid_overrides(a, k, extra) for a, k in _GRID for extra in _BETA_F),
+            *(overrides for overrides, _ in _PINNED_POINTS.values()),
+            {},
+            {
+                "data.source": "csv",
+                "data.path": "x.csv",
+                "data.label_column": "y",
+                "data.feature_columns": "a, b",
+                "data.standardize": True,
+                "estimator.v": 2.0,
+            },
+            {"data.noise": "pareto", "data.noise_scale": 2.0, "data.noise_shape": 4.0},
+            {"estimator.s": 1.5, "estimator.tau": 4.0},
+        ]
+        assert len(cases) == 106
+        for overrides in cases:
+            cfg = make_config(overrides)
+            assert config_digest(parse_config(write(tmp_path, echo_config(cfg)))) == config_digest(cfg), overrides
+
+    def test_readme_lists_every_key_at_its_default(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Config format", 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
+        parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"))
+        parser.read_string(block)
+        listed = [(f"{s}.{k}", v) for s in parser.sections() for k, v in parser.items(s)]
+        assert listed == [(key, row.default) for key, row in KEYS.items()]
 
 
 class TestApplyAxis:

@@ -20,7 +20,7 @@ from heavyfed import (
 )
 from heavyfed.adversary import ATTACK_KINDS
 from heavyfed.datagen import partition
-from heavyfed.aggregation import AggregatorSpec
+from heavyfed.aggregation import AggregatorSpec, max_f, max_trim
 from heavyfed.compression import CompressorSpec
 from heavyfed.config import PRESETS
 from heavyfed.engine import stream_seed
@@ -503,11 +503,14 @@ class TestPresetStages:
         run(cfg)
         preset = PRESETS[algorithm]
         [rule] = rules
+        assert rule == cfg.aggregator
         assert rule.kind == (preset.rule or "krum")
-        assert (rule.beta, rule.f) == (0.3, 2)
-        # the honest uploads, then the Byzantine re-encode if the codec is not identity
-        assert (cfg.compressor.kind, cfg.compressor.k) == ("topk", 4)
-        expected = cfg.compressor if preset.codec else CompressorSpec()
+        # beta and f reach the rule where it reads them; elsewhere they resolve as auto
+        assert rule.beta == (0.3 if max_trim(rule.kind, 10) is not None else 0.2)
+        assert rule.f == (2 if max_f(rule.kind, 10) is not None else 0)
+        # the honest uploads, then the Byzantine re-encode if the codec is not identity;
+        # a preset that sends dense uploads ignores the configured compressor
+        expected = CompressorSpec(kind="topk", k=4, p=0.5) if preset.codec else CompressorSpec(k=5, p=0.5)
         assert codecs == [expected] * (2 if preset.codec else 1)
 
 

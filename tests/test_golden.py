@@ -10,7 +10,7 @@ import hashlib
 
 import pytest
 
-from heavyfed import make_config, run_experiment
+from heavyfed import config_digest, make_config, run_experiment
 
 SMALL = {
     "experiment.rounds": 40,
@@ -95,3 +95,6 @@ def test_rounds_csv_matches_golden_digest(tmp_path, name):
 
 def test_robust_ignores_the_compressor():
     assert GOLDEN["robust-randk-ignored"] == GOLDEN["robust"]
+    # the ignored compressor echoes at its default, so both runs share one config digest
+    digests = {config_digest(make_config({**SMALL, **CASES[name]})) for name in ("robust", "robust-randk-ignored")}
+    assert len(digests) == 1

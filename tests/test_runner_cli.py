@@ -168,6 +168,12 @@ class TestCli:
         assert (out_dir / "summary.json-lines").is_file()
         assert "final_loss_mean=" in capsys.readouterr().out
 
+    def test_run_refuses_a_non_finite_number(self, tmp_path, capsys):
+        path = tmp_path / "nan.ini"
+        path.write_text("[data]\nnoise_sigma = nan\n", encoding="utf-8")
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert "config error: data.noise_sigma" in capsys.readouterr().err
+
     def test_sweep_command(self, tmp_path, capsys):
         path = self.write_config(tmp_path, extra="[aggregator]\nbeta = 0.25\n")
         out_dir = tmp_path / "sweep"
