@@ -4,30 +4,42 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import InvalidConfig, TooFewVectors
 
-AGGREGATOR_KINDS = (
-    "mean",
-    "coord_trimmed",
-    "norm_trimmed",
-    "coord_median",
-    "geo_median",
-    "krum",
-    "bulyan",
-    "mkrum",
-)
+
+class Rule(NamedTuple):
+    """An aggregation rule: its call, the spec fields a run under it reads,
+    and what it may discard of m uploads and still aggregate."""
+
+    call: Callable  # (uploads, spec) -> aggregate
+    reads: tuple = ()
+    trim_sides: int | None = None  # drops k per side, keeps one: k <= floor((m - 1) / sides)
+    f_quotient: int | None = None  # tolerates f while m >= q f + 3: f <= floor((m - 3) / q)
+
+
+# Each row looks its function up when called, so a wrapped module attribute
+# is the one that runs.  ``mkrum`` selects like plain krum; the per-device
+# momentum it reads is part of the engine's baseline local stage.
+RULES = {
+    "mean": Rule(lambda U, spec: mean(U)),
+    "coord_trimmed": Rule(lambda U, spec: coord_trimmed_mean(U, spec.beta), ("beta",), trim_sides=2),
+    "norm_trimmed": Rule(lambda U, spec: norm_trimmed_mean(U, spec.beta), ("beta",), trim_sides=1),
+    "coord_median": Rule(lambda U, spec: coord_median(U)),
+    "geo_median": Rule(lambda U, spec: geometric_median(U, spec.tol, spec.max_iter), ("tol", "max_iter")),
+    "krum": Rule(lambda U, spec: krum(U, spec.f), ("f",), f_quotient=2),
+    "bulyan": Rule(lambda U, spec: bulyan(U, spec.f), ("f",), f_quotient=4),
+    "mkrum": Rule(lambda U, spec: krum(U, spec.f), ("f", "momentum"), f_quotient=2),
+}
+AGGREGATOR_KINDS = tuple(RULES)
 
 
 @dataclass(frozen=True)
 class AggregatorSpec:
-    """Aggregation rule plus its parameters.
-
-    ``mkrum`` selects like plain krum; the per-device momentum that feeds it
-    is part of the engine's baseline local stage.
-    """
+    """Aggregation rule plus its parameters; ``RULES`` says which it reads."""
 
     kind: str = "mean"
     beta: float = 0.0
@@ -37,7 +49,7 @@ class AggregatorSpec:
     max_iter: int = 1000
 
     def __post_init__(self):
-        if self.kind not in AGGREGATOR_KINDS:
+        if self.kind not in RULES:
             raise InvalidConfig(f"unknown aggregator kind {self.kind!r}")
         if not 0.0 <= self.beta < 0.5:
             raise InvalidConfig(f"trim fraction beta must lie in [0, 0.5), got {self.beta}")
@@ -56,22 +68,24 @@ def _as_matrix(vectors):
     return U
 
 
-# What each rule may discard among m uploads and still aggregate.  A trimmed
-# mean drops k uploads from each of its sides and keeps one, so
-# k <= floor((m - 1) / sides); a selection rule tolerates f Byzantine uploads
-# while m >= q f + 3, so f <= floor((m - 3) / q).
-_TRIM_SIDES = {"coord_trimmed": 2, "norm_trimmed": 1}
-F_QUOTIENT = {"krum": 2, "mkrum": 2, "bulyan": 4}
-
-
 def max_trim(kind: str, m: int) -> int | None:
     """Largest trim count (per side) for m uploads; None for a rule that trims nothing."""
-    return (m - 1) // _TRIM_SIDES[kind] if kind in _TRIM_SIDES else None
+    sides = RULES[kind].trim_sides
+    return None if sides is None else (m - 1) // sides
 
 
 def max_f(kind: str, m: int) -> int | None:
     """Largest Byzantine count f for m uploads; None for a rule that takes no f."""
-    return (m - 3) // F_QUOTIENT[kind] if kind in F_QUOTIENT else None
+    quotient = RULES[kind].f_quotient
+    return None if quotient is None else (m - 3) // quotient
+
+
+def _check_f(kind, m, f):
+    if f < 0:
+        raise InvalidConfig(f"f must be >= 0, got {f}")
+    limit = max_f(kind, m)
+    if f > limit:
+        raise TooFewVectors(f"{kind} tolerates f <= {limit} of {m} vectors, got f={f}")
 
 
 def trim_count(beta: float, m: int) -> int:
@@ -170,11 +184,7 @@ def _krum_scores(sq, f):
 def krum(vectors, f: int = 0) -> np.ndarray:
     """Return the upload closest (in summed squared distance) to its peers."""
     U = _as_matrix(vectors)
-    if f < 0:
-        raise InvalidConfig(f"f must be >= 0, got {f}")
-    limit = max_f("krum", U.shape[0])
-    if f > limit:
-        raise TooFewVectors(f"krum tolerates f <= {limit} of {U.shape[0]} vectors, got f={f}")
+    _check_f("krum", U.shape[0], f)
     return U[int(np.argmin(_krum_scores(_sq_distances(U), f)))].copy()
 
 
@@ -219,12 +229,7 @@ def bulyan(vectors, f: int = 0) -> np.ndarray:
     engine reports as a diverged round.
     """
     U = _as_matrix(vectors)
-    m = U.shape[0]
-    if f < 0:
-        raise InvalidConfig(f"f must be >= 0, got {f}")
-    limit = max_f("bulyan", m)
-    if f > limit:
-        raise TooFewVectors(f"bulyan tolerates f <= {limit} of {m} vectors, got f={f}")
+    _check_f("bulyan", U.shape[0], f)
     chosen = _bulyan_picks(U, f)
     if chosen is None:
         return np.full(U.shape[1], np.nan)
@@ -236,18 +241,5 @@ def bulyan(vectors, f: int = 0) -> np.ndarray:
 
 
 def aggregate(spec: AggregatorSpec, vectors) -> np.ndarray:
-    """Dispatch to the rule named by the spec."""
-    if spec.kind == "mean":
-        return mean(vectors)
-    if spec.kind == "coord_trimmed":
-        return coord_trimmed_mean(vectors, spec.beta)
-    if spec.kind == "norm_trimmed":
-        return norm_trimmed_mean(vectors, spec.beta)
-    if spec.kind == "coord_median":
-        return coord_median(vectors)
-    if spec.kind == "geo_median":
-        return geometric_median(vectors, spec.tol, spec.max_iter)
-    if spec.kind == "bulyan":
-        return bulyan(vectors, spec.f)
-    # krum and mkrum share the selection rule
-    return krum(vectors, spec.f)
+    """Run the rule named by the spec."""
+    return RULES[spec.kind].call(vectors, spec)

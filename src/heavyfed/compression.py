@@ -21,12 +21,14 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidConfig
 
-COMPRESSOR_KINDS = ("identity", "topk", "randk", "l1")
+# Each kind and the CompressorSpec fields it reads.
+COMPRESSOR_READS = {"identity": (), "topk": ("k",), "randk": ("p",), "l1": ()}
+COMPRESSOR_KINDS = tuple(COMPRESSOR_READS)
 
 
 @dataclass(frozen=True)
 class CompressorSpec:
-    """Compressor family plus its parameter (k for topk, p for randk)."""
+    """Compressor family plus its parameter; ``COMPRESSOR_READS`` says which it reads."""
 
     kind: str = "identity"
     k: int = 1

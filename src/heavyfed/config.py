@@ -13,14 +13,14 @@ from __future__ import annotations
 import configparser
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import groupby
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .adversary import ATTACK_KINDS, AttackSpec, byzantine_count, default_strength
-from .aggregation import AGGREGATOR_KINDS, F_QUOTIENT, AggregatorSpec, max_f, max_trim, trim_count
-from .compression import COMPRESSOR_KINDS, CompressorSpec
+from .aggregation import AGGREGATOR_KINDS, RULES, AggregatorSpec, max_f, max_trim, trim_count
+from .compression import COMPRESSOR_KINDS, COMPRESSOR_READS, CompressorSpec
 from .datagen import NOISE_KINDS, NoiseSpec
 from .errors import ConfigError, InvalidConfig
 from .estimator import EstimatorParams, default_params
@@ -155,8 +155,8 @@ KEYS = {
     "estimator.v": Key("auto", _auto(_positive)),
     "estimator.diameter": Key("10.0", _positive, "diameter"),
     "estimator.lipschitz": Key("1.0", _positive, "lipschitz"),
-    "estimator.s": Key("", _blank(_positive), "est_s"),
-    "estimator.tau": Key("", _blank(_positive), "est_tau"),
+    "estimator.s": Key("", _blank(_positive)),
+    "estimator.tau": Key("", _blank(_positive)),
     "aggregator.kind": Key("mean", _enum(*AGGREGATOR_KINDS)),
     "aggregator.beta": Key("auto", _auto(_float)),
     "aggregator.f": Key("auto", _auto(_int())),
@@ -179,6 +179,14 @@ def _defaults() -> dict:
 
 def _fail(fieldname, reason):
     raise ConfigError(fieldname, reason)
+
+
+def _checked(fieldname, spec, **args):
+    """``spec(**args)``, its InvalidConfig reported as a ConfigError on ``fieldname``."""
+    try:
+        return spec(**args)
+    except InvalidConfig as exc:
+        raise ConfigError(fieldname, str(exc)) from None
 
 
 def _parse(key, parse, raw):
@@ -213,11 +221,10 @@ class ExperimentConfig:
     smoothness: float | None
     space_radius: float
     w0: str
-    v: float
+    v: float | None  # None: auto v on csv data where the run reads no v
     diameter: float
     lipschitz: float
-    est_s: float | None
-    est_tau: float | None
+    manual_schedule: EstimatorParams | None  # the manual s/tau; None: derived from v
     aggregator: AggregatorSpec  # the rule the server runs, kind resolved by the preset
     compressor: CompressorSpec  # identity where the preset sends dense uploads
     attack: AttackSpec
@@ -240,15 +247,18 @@ class ExperimentConfig:
 
     def estimator_params(self, n, m, d) -> EstimatorParams | None:
         """Estimator schedule of the local stage, or None where the preset
-        uploads plain shard means; manual s/tau overrides win."""
+        uploads plain shard means; a manual s/tau schedule wins."""
         variant = self.preset.variant
         if variant is None:
             return None
-        if self.est_s is not None:
-            return EstimatorParams(
-                s=self.est_s, tau=self.est_tau, v=self.v, log_inv_zeta=self.est_tau**2 / 2.0
-            )
+        if self.manual_schedule is not None:
+            return self.manual_schedule
         return default_params(n, m, d, self.v, self.diameter, self.lipschitz, variant)
+
+
+def _derives_schedule(preset: Preset, manual_schedule) -> bool:
+    """Whether the run reads estimator.v, diameter and lipschitz to derive s and tau."""
+    return preset.variant is not None and manual_schedule is None
 
 
 def _resolve_beta(beta, alpha, m, rule):
@@ -275,7 +285,7 @@ def _resolve_f(f, alpha, m, rule):
     limit = max_f(rule, m)
     if f is not None:
         if limit is not None and f > limit:
-            _fail("aggregator.f", f"f must be <= floor((m - 3) / {F_QUOTIENT[rule]}) for {rule} (m={m}, f={f})")
+            _fail("aggregator.f", f"f must be <= floor((m - 3) / {RULES[rule].f_quotient}) for {rule} (m={m}, f={f})")
         return f
     if limit is None:
         return 0
@@ -287,6 +297,7 @@ def _resolve_f(f, alpha, m, rule):
 def _resolve(raw: dict) -> ExperimentConfig:
     value = {key: _parse(key, row.parse, raw[key]) for key, row in KEYS.items()}
     source, model_kind, d, m = value["data.source"], value["model.kind"], value["data.d"], value["data.devices"]
+    preset = PRESETS[value["experiment.algorithm"]]
 
     if source == "synthetic" and model_kind == "mlp":
         _fail("model.kind", "synthetic data generation supports linear and logistic models only")
@@ -297,42 +308,39 @@ def _resolve(raw: dict) -> ExperimentConfig:
             _fail("data.label_column", "csv source requires a label column")
     if model_kind == "mlp" and value["experiment.eta"] is None and value["experiment.smoothness"] is None:
         _fail("experiment.eta", "mlp runs need eta or smoothness set explicitly")
-    if (value["estimator.s"] is None) != (value["estimator.tau"] is None):
+    s, tau = value["estimator.s"], value["estimator.tau"]
+    if (s is None) != (tau is None):
         _fail("estimator.s", "manual schedule override needs both s and tau")
+    manual_schedule = None if s is None else _checked("estimator.tau", EstimatorParams, s=s, tau=tau)
 
-    try:
-        noise = NoiseSpec(
-            kind=value["data.noise"],
-            mu=value["data.noise_mu"],
-            sigma=value["data.noise_sigma"],
-            scale=value["data.noise_scale"],
-            shape=value["data.noise_shape"],
-        )
-    except InvalidConfig as exc:
-        _fail("data.noise", str(exc))
+    noise = _checked(
+        "data.noise",
+        NoiseSpec,
+        kind=value["data.noise"],
+        mu=value["data.noise_mu"],
+        sigma=value["data.noise_sigma"],
+        scale=value["data.noise_scale"],
+        shape=value["data.noise_shape"],
+    )
     v = value["estimator.v"]
-    if v is None:
-        if source == "csv":
-            _fail("estimator.v", "no known moment bound for csv data; set v explicitly")
-        try:
-            v = noise.variance()
-        except OverflowError:
-            v = math.inf
-        if not 0.0 < v < math.inf:
-            _fail("data.noise", f"auto v needs a finite, positive noise variance, got {v}")
+    if v is None and source == "synthetic":
+        v = noise.variance()
+        if not v > 0.0:
+            _fail("data.noise", f"auto v needs a positive noise variance, got {v}")
+    if v is None and _derives_schedule(preset, manual_schedule):
+        _fail("estimator.v", "no known moment bound for csv data; set v explicitly")
 
     attack_kind, strength = value["attack.kind"], value["attack.strength"]
-    try:
-        attack = AttackSpec(
-            kind=attack_kind,
-            strength=default_strength(attack_kind) if strength is None else strength,
-            alpha=value["attack.alpha"],
-            dynamic=value["attack.dynamic"],
-        )
-    except InvalidConfig as exc:
-        _fail("attack", str(exc))
+    attack = _checked(
+        "attack",
+        AttackSpec,
+        kind=attack_kind,
+        strength=default_strength(attack_kind) if strength is None else strength,
+        alpha=value["attack.alpha"],
+        dynamic=value["attack.dynamic"],
+    )
 
-    rule = PRESETS[value["experiment.algorithm"]].rule or value["aggregator.kind"]
+    rule = preset.rule or value["aggregator.kind"]
     try:
         aggregator = AggregatorSpec(
             kind=rule,
@@ -352,27 +360,34 @@ def _resolve(raw: dict) -> ExperimentConfig:
         k = max(d // 2, 1)
     if comp_kind == "topk" and source == "synthetic" and k > d:
         _fail("compressor.k", f"k={k} exceeds model dimension {d}")
-    try:
-        compressor = CompressorSpec(kind=comp_kind, k=k, p=value["compressor.p"])
-    except InvalidConfig as exc:
-        _fail("compressor", str(exc))
+    compressor = _checked("compressor", CompressorSpec, kind=comp_kind, k=k, p=value["compressor.p"])
 
-    fields = {row.field: value[key] for key, row in KEYS.items() if row.field}
+    filled = {row.field: value[key] for key, row in KEYS.items() if row.field}
     return ExperimentConfig(
-        **fields, noise=noise, v=v, aggregator=aggregator, compressor=compressor, attack=attack, raw=dict(raw)
+        **filled, noise=noise, v=v, manual_schedule=manual_schedule, aggregator=aggregator, compressor=compressor,
+        attack=attack, raw=dict(raw)
     )
 
 
+def _unread(section, reads) -> list:
+    """The keys of ``section``, its kind aside, that name no field in ``reads``."""
+    return [key for key in KEYS if key.partition(".")[0] == section and key.partition(".")[2] not in ("kind", *reads)]
+
+
 def _ignored(config: ExperimentConfig) -> list:
-    """Keys the run does not read, from what the preset and the rule declare."""
-    rule, m = config.aggregator.kind, config.devices
-    keys = [key for key in KEYS if key.startswith("compressor.")] if not config.preset.codec else []
-    if config.preset.rule is not None:
+    """Keys the run does not read, from what the preset, the rule, the codec
+    and the estimator schedule declare."""
+    preset = config.preset
+    keys = _unread("aggregator", RULES[config.aggregator.kind].reads)
+    keys += _unread("compressor", COMPRESSOR_READS[config.compressor.kind] if preset.codec else ())
+    if preset.rule is not None:
         keys.append("aggregator.kind")
-    if max_f(rule, m) is None:
-        keys.append("aggregator.f")
-    if max_trim(rule, m) is None:
-        keys.append("aggregator.beta")
+    if not preset.codec:
+        keys.append("compressor.kind")
+    if preset.variant is None:
+        keys += _unread("estimator", ())
+    elif not _derives_schedule(preset, config.manual_schedule):
+        keys += _unread("estimator", [f.name for f in fields(EstimatorParams)])
     return keys
 
 
@@ -435,7 +450,7 @@ def echo_config(config: ExperimentConfig) -> str:
         "aggregator.beta": repr(config.aggregator.beta),
         "aggregator.f": str(config.aggregator.f),
         "attack.strength": repr(config.attack.strength),
-        "estimator.v": repr(config.v),
+        "estimator.v": "auto" if config.v is None else repr(config.v),
         "data.feature_sigma": repr(config.resolved_feature_sigma()),
         "compressor.k": str(config.compressor.k),
     }

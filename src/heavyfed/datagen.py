@@ -60,6 +60,12 @@ class NoiseSpec:
                 raise InvalidConfig(f"pareto shape must exceed 2, got {self.shape}")
             if self.scale <= 0.0:
                 raise InvalidConfig(f"pareto scale must be > 0, got {self.scale}")
+        try:
+            variance = self.variance()
+        except OverflowError:
+            variance = math.inf
+        if not math.isfinite(variance):
+            raise InvalidConfig(f"noise variance must be finite, got {variance}")
 
     def sample(self, rng, size=None):
         if self.kind == "lognormal":

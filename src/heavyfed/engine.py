@@ -172,9 +172,9 @@ def _local_stage(model, shards, est, rule):
             return per_sample_gradients(model, w, shards).mean(axis=-2)
         return mean_gradients(model, w, shards)
 
-    if rule.kind != "mkrum":
+    if "momentum" not in aggregation.RULES[rule.kind].reads:
         return shard_means
-    # mkrum devices upload a running average of their shard means
+    # devices upload a running average of their shard means
     buffer = np.zeros((shards.labels.shape[0], model.dim))
 
     def with_momentum(w, keep=None):

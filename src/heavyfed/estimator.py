@@ -169,47 +169,31 @@ def smoothed_truncate(a, b):
 
 @dataclass(frozen=True)
 class EstimatorParams:
-    """Scale / noise schedule of the robust scalar estimator.
-
-    ``log_inv_zeta`` is ``ln(1/zeta)`` for the confidence level ``zeta``.  It
-    is stored in place of ``zeta`` because scheduled confidence levels
-    underflow double precision once the model dimension is moderately large.
-    """
+    """Scale s and noise level tau of the robust scalar estimator.  A tau whose
+    table misses ``smoothed_truncate`` is refused here, not on first use."""
 
     s: float
     tau: float
-    v: float
-    log_inv_zeta: float
 
     def __post_init__(self):
-        for name in ("s", "tau", "v", "log_inv_zeta"):
+        for name in ("s", "tau"):
             value = getattr(self, name)
             if not math.isfinite(value) or value <= 0.0:
                 raise InvalidConfig(f"estimator parameter {name} must be finite and > 0, got {value}")
-
-    @property
-    def zeta(self) -> float:
-        """Confidence level; may underflow to 0.0, for display only."""
-        return math.exp(-self.log_inv_zeta)
+        _line_table(self.tau)
 
     @classmethod
     def from_log_inv_zeta(cls, log_inv_zeta: float, n: int, v: float) -> "EstimatorParams":
-        """Standard schedule s = sqrt(n*v / (2 ln(1/zeta))), tau = sqrt(2 ln(1/zeta))."""
+        """Standard schedule s = sqrt(n*v / (2 ln(1/zeta))), tau = sqrt(2 ln(1/zeta))
+        for ``log_inv_zeta`` = ln(1/zeta), as scheduled confidence levels zeta
+        underflow double precision once the model dimension is moderate."""
         if not math.isfinite(log_inv_zeta) or log_inv_zeta <= 0.0:
             raise InvalidConfig(f"log_inv_zeta must be finite and > 0, got {log_inv_zeta}")
         if n < 1:
             raise InvalidConfig(f"sample count n must be >= 1, got {n}")
         if v <= 0.0:
             raise InvalidConfig(f"moment bound v must be > 0, got {v}")
-        s = math.sqrt(n * v / (2.0 * log_inv_zeta))
-        tau = math.sqrt(2.0 * log_inv_zeta)
-        return cls(s=s, tau=tau, v=v, log_inv_zeta=log_inv_zeta)
-
-    @classmethod
-    def from_zeta(cls, zeta: float, n: int, v: float) -> "EstimatorParams":
-        if not 0.0 < zeta < 1.0:
-            raise InvalidConfig(f"zeta must lie in (0, 1), got {zeta}")
-        return cls.from_log_inv_zeta(-math.log(zeta), n, v)
+        return cls(s=math.sqrt(n * v / (2.0 * log_inv_zeta)), tau=math.sqrt(2.0 * log_inv_zeta))
 
 
 def default_params(n, m, d, v, diameter, lipschitz, variant="plain"):

@@ -58,7 +58,7 @@ def exact_smoothed(a, b):
 def concentration_failures(trials=1000, n=100, v=0.5, zeta=0.01, sigma=0.55848, seed=7):
     """Fraction of trials where the scalar estimate of a centered log-normal
     mean escapes the theoretical deviation bound sqrt(2 v ln(1/zeta) / n) + sqrt(v / n)."""
-    params = EstimatorParams.from_zeta(zeta, n, v)
+    params = EstimatorParams.from_log_inv_zeta(-math.log(zeta), n, v)
     bound = math.sqrt(2.0 * v * math.log(1.0 / zeta) / n) + math.sqrt(v / n)
     rng = np.random.default_rng(seed)
     samples = rng.lognormal(0.0, sigma, size=(trials, n)) - math.exp(sigma * sigma / 2.0)
@@ -69,7 +69,7 @@ def concentration_failures(trials=1000, n=100, v=0.5, zeta=0.01, sigma=0.55848, 
 def continuity_worst_ratio(pairs=1000, n=50, seed=11):
     """Worst observed |est(X) - est(X')| / ((c/n) * sum |x - x'|) over random
     perturbation pairs, for the scheduled constant c = continuity_constant(tau)."""
-    params = EstimatorParams.from_zeta(0.01, n, 0.5)
+    params = EstimatorParams.from_log_inv_zeta(-math.log(0.01), n, 0.5)
     c = continuity_constant(params.tau)
     rng = np.random.default_rng(seed)
     worst = 0.0

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from heavyfed import (
     AggregatorSpec,
     InvalidConfig,
+    LossModel,
     TooFewVectors,
     aggregate,
     bulyan,
@@ -16,8 +17,9 @@ from heavyfed import (
     mean,
     norm_trimmed_mean,
 )
-from heavyfed.aggregation import trim_count
-from oracles import bulyan_reference
+from heavyfed import engine
+from heavyfed.aggregation import AGGREGATOR_KINDS, RULES, trim_count
+from oracles import bulyan_reference, stacked_shards
 
 
 def vec(*values):
@@ -357,3 +359,39 @@ class TestDispatch:
             AggregatorSpec(beta=0.5)
         with pytest.raises(InvalidConfig):
             AggregatorSpec(f=-1)
+
+
+# What each rule reads of its spec, stated apart from aggregation.RULES: the
+# trimmed means their trim fraction, the selection rules f, mkrum also the
+# devices' momentum, and the geometric median its stopping rule.
+_READS = {
+    "mean": set(),
+    "coord_trimmed": {"beta"},
+    "norm_trimmed": {"beta"},
+    "coord_median": set(),
+    "geo_median": {"tol", "max_iter"},
+    "krum": {"f"},
+    "bulyan": {"f"},
+    "mkrum": {"f", "momentum"},
+}
+# a spec, and another value of each field; on the fixed input below every
+# rule that reads a field gives another output for its other value
+_SPEC = {"beta": 0.1, "f": 1, "momentum": 0.9, "tol": 1e-8, "max_iter": 1000}
+_OTHER = {"beta": 0.3, "f": 2, "momentum": 0.5, "tol": 1.0, "max_iter": 1}
+
+
+def _run_bytes(spec):
+    # what a round computes under the spec: the baseline local stage's
+    # uploads, where mkrum's momentum enters, and the aggregate
+    model = LossModel("linear", 4)
+    shards, w = stacked_shards(model)
+    uploads = engine._local_stage(model, shards, None, spec)(w)
+    return uploads.tobytes() + aggregate(spec, random_vectors(3, m=11)).tobytes()
+
+
+class TestRuleReads:
+    @pytest.mark.parametrize("kind", AGGREGATOR_KINDS)
+    def test_a_rule_reads_exactly_its_declared_fields(self, kind):
+        base = _run_bytes(AggregatorSpec(kind, **_SPEC))
+        changed = {name for name in _SPEC if _run_bytes(AggregatorSpec(kind, **{**_SPEC, name: _OTHER[name]})) != base}
+        assert changed == set(RULES[kind].reads) == _READS[kind]

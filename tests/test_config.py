@@ -14,9 +14,11 @@ from heavyfed import (
     echo_config,
     make_config,
     parse_config,
+    run_experiment,
 )
 from heavyfed.aggregation import AGGREGATOR_KINDS
-from heavyfed.config import ALGORITHMS, KEYS, PRESETS
+from heavyfed.compression import COMPRESSOR_KINDS
+from heavyfed.config import ALGORITHMS, KEYS, PRESETS, _ignored, _resolve
 
 
 def write(tmp_path, text):
@@ -91,6 +93,29 @@ class TestValidation:
         with pytest.raises(ConfigError, match="estimator.v"):
             parse_config(write(tmp_path, text))
 
+    @pytest.mark.parametrize("overrides", [
+        {"experiment.algorithm": "baseline"},
+        {"estimator.s": 1.5, "estimator.tau": 4.0},
+    ], ids=["baseline", "manual-schedule"])
+    def test_csv_without_a_derived_schedule_needs_no_v(self, tmp_path, overrides):
+        cfg = make_config({"data.source": "csv", "data.path": "x.csv", "data.label_column": "y", **overrides})
+        assert cfg.v is None
+        assert "v = auto" in echo_config(cfg)
+        assert config_digest(parse_config(write(tmp_path, echo_config(cfg)))) == config_digest(cfg)
+
+    @pytest.mark.parametrize("tau", [1e6, 1e200])
+    def test_manual_tau_without_an_estimator_table_is_refused(self, tau):
+        with pytest.raises(ConfigError) as info:
+            make_config({"estimator.s": 1.0, "estimator.tau": tau})
+        assert info.value.field == "estimator.tau"
+        assert "estimator table" in str(info.value)
+
+    @pytest.mark.parametrize("v", ["auto", 1.0])
+    def test_noise_needs_a_finite_variance_whatever_v(self, v):
+        with pytest.raises(ConfigError) as info:
+            make_config({"data.noise_mu": 800.0, "estimator.v": v})
+        assert info.value.field == "data.noise"
+
     def test_manual_schedule_needs_both_fields(self):
         with pytest.raises(ConfigError, match="both s and tau"):
             make_config({"estimator.s": 1.0})
@@ -121,6 +146,9 @@ class TestValidation:
         ({"aggregator.kind": "median"}, "aggregator.kind"),
         ({"aggregator.f": -1}, "aggregator"),
         ({"experiment.algorithm": "baseline", "aggregator.kind": "krum", "aggregator.beta": 0.1}, "aggregator.beta"),
+        ({"aggregator.momentum": 1.5}, "aggregator"),
+        ({"experiment.algorithm": "baseline", "estimator.v": -1}, "estimator.v"),
+        ({"experiment.algorithm": "baseline", "estimator.s": 1.0, "estimator.tau": 1e6}, "estimator.tau"),
     ])
     def test_ignored_keys_are_still_validated(self, overrides, fieldname):
         with pytest.raises(ConfigError) as info:
@@ -216,7 +244,7 @@ class TestDigest:
 # in the order of _BETA_F: beta and f auto, beta explicit, f explicit, both.
 # The echo prints the resolved beta, f and k, and a key the run does not read
 # at its default: the compressor where uploads go dense, aggregator.kind where
-# the preset fixes the rule, and f and beta where the rule takes none.  So
+# the preset fixes the rule, and f and beta where the rule reads none.  So
 # robust and robust_compressed, whose rules read no f, give one digest per
 # column under every kind, and a pin moves only where an ignored key is set.
 _BETA_F = (
@@ -279,6 +307,54 @@ class TestDigestPins:
     def test_single_points(self, name):
         overrides, digest = _PINNED_POINTS[name]
         assert config_digest(make_config(overrides)) == digest
+
+
+_MANUAL = {"estimator.s": 1.5, "estimator.tau": 4.0}
+# For each key a run can leave unread: a config under which it is unread, and
+# a change of that key (s and tau change together, as one manual schedule).
+_UNREAD = {
+    "aggregator.kind": ({}, {"aggregator.kind": "krum"}),
+    "aggregator.beta": ({"experiment.algorithm": "baseline"}, {"aggregator.beta": 0.3}),
+    "aggregator.f": ({}, {"aggregator.f": 1}),
+    "aggregator.momentum": ({"experiment.algorithm": "baseline", "aggregator.kind": "krum"}, {"aggregator.momentum": 0.5}),
+    "aggregator.tol": ({}, {"aggregator.tol": 1e-3}),
+    "aggregator.max_iter": ({}, {"aggregator.max_iter": 5}),
+    "compressor.kind": ({}, {"compressor.kind": "randk"}),
+    "compressor.k": ({"experiment.algorithm": "robust_compressed", "compressor.kind": "randk"}, {"compressor.k": 3}),
+    "compressor.p": ({"experiment.algorithm": "robust_compressed", "compressor.kind": "topk"}, {"compressor.p": 0.3}),
+    "estimator.v": (_MANUAL, {"estimator.v": 3.0}),
+    "estimator.diameter": (_MANUAL, {"estimator.diameter": 5.0}),
+    "estimator.lipschitz": ({"experiment.algorithm": "baseline"}, {"estimator.lipschitz": 2.0}),
+    "estimator.s": ({"experiment.algorithm": "baseline"}, _MANUAL),
+}
+
+
+class TestUnreadKeys:
+    def test_every_key_a_run_can_leave_unread_has_a_case(self):
+        unread = set()
+        for algorithm in ALGORITHMS:
+            for kind in AGGREGATOR_KINDS:
+                for codec in COMPRESSOR_KINDS:
+                    for manual in ({}, _MANUAL):
+                        overrides = {"experiment.algorithm": algorithm, "aggregator.kind": kind, "compressor.kind": codec}
+                        unread |= set(_ignored(make_config({**overrides, **manual})))
+        assert unread == {key for _, change in _UNREAD.values() for key in change}
+
+    @pytest.mark.parametrize("key", list(_UNREAD))
+    def test_an_unread_key_moves_neither_the_digest_nor_the_run(self, tmp_path, key):
+        base, change = _UNREAD[key]
+        small = {"experiment.rounds": 2, "experiment.repetitions": 1, "data.samples_per_device": 20, **base}
+        configs = {"plain": make_config(small), "changed": make_config({**small, **change})}
+        assert config_digest(configs["changed"]) == config_digest(configs["plain"])
+        if not key.endswith(".kind"):
+            # resolved without the reset to defaults, the spec carries the
+            # change, and the run must still not read it; a kind the preset
+            # fixes is replaced instead
+            configs["carried"] = _resolve({**configs["plain"].raw, **{k: str(v) for k, v in change.items()}})
+            assert configs["carried"] != configs["plain"]
+        for name, cfg in configs.items():
+            run_experiment(cfg, tmp_path / name)
+        assert len({(tmp_path / name / "rounds.csv").read_bytes() for name in configs}) == 1
 
 
 # Each key is set alone to each of these.  A float key must refuse the values

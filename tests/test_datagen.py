@@ -90,6 +90,11 @@ class TestNoiseSpec:
         with pytest.raises(InvalidConfig):
             NoiseSpec(kind="cauchy")
 
+    @pytest.mark.parametrize("overrides", [{"mu": 800.0}, {"sigma": 30.0}, {"kind": "pareto", "scale": 1e200}])
+    def test_variance_must_be_finite(self, overrides):
+        with pytest.raises(InvalidConfig, match="variance must be finite"):
+            NoiseSpec(**overrides)
+
 
 class TestGenLinear:
     def test_noiseless_identifiability(self):

@@ -38,11 +38,6 @@ SQRT2 = math.sqrt(2.0)
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
 
-def make_params(s, tau):
-    # any (s, tau) pair is a valid estimator; log_inv_zeta tied to tau
-    return EstimatorParams(s=s, tau=tau, v=1.0, log_inv_zeta=tau * tau / 2.0)
-
-
 class TestSoftTruncate:
     def test_fixed_point_at_zero(self):
         assert soft_truncate(0.0) == 0.0
@@ -153,25 +148,25 @@ class TestLineTable:
         # past r = 1e4 the table switches to its piece in 1e4 / r
         r = np.geomspace(1e-6, 1e6, 400)
         exact = np.array([exact_smoothed(x, x / math.sqrt(tau)) for x in r])
-        assert np.abs(estimator._smoothed_values(r, make_params(1.0, tau)) - exact).max() <= 1e-12
+        assert np.abs(estimator._smoothed_values(r, EstimatorParams(1.0, tau)) - exact).max() <= 1e-12
 
     def test_odd_bit_for_bit(self):
         rng = np.random.default_rng(8)
         x = rng.standard_cauchy(5000) * np.exp(rng.uniform(-10.0, 10.0, 5000))
         x[:3] = (0.0, 1e300, 2e4)
-        params = make_params(0.3, 16.9)
+        params = EstimatorParams(0.3, 16.9)
         assert estimator._smoothed_values(-x, params).tobytes() == (-estimator._smoothed_values(x, params)).tobytes()
 
     def test_bounded_by_the_cap(self):
         x = np.geomspace(1e-8, 1e300, 4000)
         for tau in (0.25, 3.0, 200.0):
-            assert np.abs(estimator._smoothed_values(x, make_params(1.0, tau))).max() <= TRUNCATION_CAP
+            assert np.abs(estimator._smoothed_values(x, EstimatorParams(1.0, tau))).max() <= TRUNCATION_CAP
 
     def test_non_finite_input_stays_non_finite(self):
         # a NaN or infinite gradient coordinate must reach the engine's
         # finiteness check, not a table index
         x = np.array([math.nan, math.inf, -math.inf, 0.0, 1.0])
-        out = estimator._smoothed_values(x, make_params(1.0, 16.9))
+        out = estimator._smoothed_values(x, EstimatorParams(1.0, 16.9))
         assert np.isnan(out[:3]).all()
         assert out[3] == 0.0 and np.isfinite(out[4])
 
@@ -183,7 +178,7 @@ class TestLineTable:
         # the kernel keeps its block buffers from one call to the next; a
         # smaller batch in between must not change a larger one's bytes
         x = np.random.default_rng(9).standard_cauchy(3 * estimator._BLOCK + 5)
-        params = make_params(0.3, 16.9)
+        params = EstimatorParams(0.3, 16.9)
         first = estimator._smoothed_values(x, params)
         assert estimator._smoothed_values(x[:30], params).tobytes() == first[:30].tobytes()
         assert estimator._smoothed_values(x, params).tobytes() == first.tobytes()
@@ -191,7 +186,7 @@ class TestLineTable:
     def test_threads_keep_their_own_buffers(self):
         rng = np.random.default_rng(10)
         batches = [rng.standard_cauchy(2 * estimator._BLOCK) * 10.0**k for k in range(-2, 2)]
-        params = make_params(0.3, 16.9)
+        params = EstimatorParams(0.3, 16.9)
         serial = [estimator._smoothed_values(x, params).tobytes() for x in batches]
         with ThreadPoolExecutor(max_workers=2) as pool:
             threaded = list(pool.map(lambda x: estimator._smoothed_values(x, params).tobytes(), batches * 8))
@@ -204,7 +199,7 @@ class TestLineTable:
         # (boolean masks and numpy's casting buffers)
         monkeypatch.setattr(estimator, "_BLOCK", 16384)
         x = np.random.default_rng(11).standard_normal(4 * estimator._BLOCK)
-        params = make_params(0.3, 16.9)
+        params = EstimatorParams(0.3, 16.9)
         estimator._smoothed_values(x, params)
         tracemalloc.start()
         try:
@@ -217,26 +212,26 @@ class TestLineTable:
 
 class TestRobustScalarMean:
     def test_all_zero_samples(self):
-        assert robust_scalar_mean(np.zeros(25), make_params(1.0, 4.0)) == 0.0
+        assert robust_scalar_mean(np.zeros(25), EstimatorParams(1.0, 4.0)) == 0.0
 
     def test_constant_samples_with_large_scale(self):
         c = 0.37
-        params = make_params(100.0 * abs(c), 9.0)
+        params = EstimatorParams(100.0 * abs(c), 9.0)
         assert robust_scalar_mean(np.full(40, c), params) == pytest.approx(c, rel=0.01)
 
     def test_output_bounded_by_scale(self):
         rng = np.random.default_rng(3)
-        params = make_params(0.5, 9.0)
+        params = EstimatorParams(0.5, 9.0)
         samples = rng.standard_cauchy(200) * 50.0
         assert abs(robust_scalar_mean(samples, params)) <= TRUNCATION_CAP * params.s + 1e-12
 
     def test_empty_raises(self):
         with pytest.raises(EmptyInput):
-            robust_scalar_mean([], make_params(1.0, 4.0))
+            robust_scalar_mean([], EstimatorParams(1.0, 4.0))
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
-            robust_scalar_mean([1.0, math.inf], make_params(1.0, 4.0))
+            robust_scalar_mean([1.0, math.inf], EstimatorParams(1.0, 4.0))
 
     def test_concentration_bound(self):
         # empirical check of the deviation bound at zeta = 0.01
@@ -255,7 +250,7 @@ class TestRobustGradient:
         w = rng.standard_normal(4)
         X = rng.standard_normal((30, 4))
         data = Dataset(X, X @ w)
-        out = robust_gradient(model, w, data, make_params(1.0, 4.0))
+        out = robust_gradient(model, w, data, EstimatorParams(1.0, 4.0))
         assert np.all(out == 0.0)
 
     def test_single_sample_large_scale(self):
@@ -264,7 +259,7 @@ class TestRobustGradient:
         w = rng.standard_normal(5)
         data = Dataset(rng.standard_normal((1, 5)), rng.standard_normal(1))
         grad = per_sample_gradients(model, w, data)[0]
-        params = make_params(100.0 * float(np.abs(grad).max()), 9.0)
+        params = EstimatorParams(100.0 * float(np.abs(grad).max()), 9.0)
         out = robust_gradient(model, w, data, params)
         assert np.allclose(out, grad, rtol=0.01)
 
@@ -279,7 +274,7 @@ class TestRobustGradient:
         w = np.zeros(6)
         grads = (X @ w - data.labels)[:, None] * X
         plain = grads.mean(axis=0)
-        params = make_params(100.0 * float(np.abs(grads).max()), 9.0)
+        params = EstimatorParams(100.0 * float(np.abs(grads).max()), 9.0)
         out = robust_gradient(model, w, data, params)
         assert np.allclose(out, plain, rtol=0.02)
 
@@ -288,7 +283,7 @@ class TestRobustGradient:
         # 4 shards of 1100 samples reach past one kernel block for every model,
         # and the small scale sends some inputs into the table's tail piece
         shards, w = stacked_shards(model, m=4, n=1100)
-        params = make_params(0.01, 16.9)
+        params = EstimatorParams(0.01, 16.9)
         batched = robust_gradient(model, w, shards, params)
         per_shard = np.stack(
             [robust_gradient(model, w, Dataset(X, y), params) for X, y in zip(shards.features, shards.labels)]
@@ -299,7 +294,7 @@ class TestRobustGradient:
     def test_block_size_does_not_change_the_bytes(self, monkeypatch):
         model = LossModel("logistic", 4)
         shards, w = stacked_shards(model, m=4, n=600)
-        params = make_params(0.01, 16.9)
+        params = EstimatorParams(0.01, 16.9)
         outputs = []
         for block in (7, 4096, 10**9):
             monkeypatch.setattr(estimator, "_BLOCK", block)
@@ -327,7 +322,7 @@ class TestRobustGradient:
     def test_keep_mask_equals_masking_the_full_estimate(self, model, m, n, kept, s, seed):
         shards, w = stacked_shards(model, m=m or 1, n=n, seed=seed)
         data = shards if m else Dataset(shards.features[0], shards.labels[0])
-        params = make_params(s, 16.9)
+        params = EstimatorParams(s, 16.9)
         full = robust_gradient(model, w, data, params)
         rng = np.random.default_rng(seed)
         keep = np.zeros(full.shape, dtype=bool)
@@ -345,14 +340,14 @@ class TestRobustGradient:
         model = LossModel("linear", 3)
         shards, w = stacked_shards(model, m=2, n=5)
         with pytest.raises(DimensionMismatch):
-            robust_gradient(model, w, shards, make_params(1.0, 4.0), keep=np.ones(3, dtype=bool))
+            robust_gradient(model, w, shards, EstimatorParams(1.0, 4.0), keep=np.ones(3, dtype=bool))
 
     def test_empty_and_mismatch(self):
         model = LossModel("linear", 3)
         with pytest.raises(EmptyInput):
-            robust_gradient(model, np.zeros(3), Dataset(np.zeros((0, 3)), np.zeros(0)), make_params(1.0, 4.0))
+            robust_gradient(model, np.zeros(3), Dataset(np.zeros((0, 3)), np.zeros(0)), EstimatorParams(1.0, 4.0))
         with pytest.raises(DimensionMismatch):
-            robust_gradient(model, np.zeros(4), Dataset(np.zeros((2, 3)), np.zeros(2)), make_params(1.0, 4.0))
+            robust_gradient(model, np.zeros(4), Dataset(np.zeros((2, 3)), np.zeros(2)), EstimatorParams(1.0, 4.0))
 
 
 class TestSchedules:
@@ -361,8 +356,9 @@ class TestSchedules:
         product = (10.0 * 100 * 1.0) ** 10 * (10 + 1) * 10 * (10 * 100) ** 10
         expected_log = math.log(product)
         params = default_params(n=100, m=10, d=10, v=0.5, diameter=10.0, lipschitz=1.0, variant="plain")
-        assert params.log_inv_zeta == pytest.approx(expected_log, rel=1e-12)
-        assert params.log_inv_zeta == pytest.approx(142.85558594543517, abs=1e-9)
+        # tau = sqrt(2 ln(1/zeta))
+        assert params.tau**2 / 2 == pytest.approx(expected_log, rel=1e-12)
+        assert params.tau**2 / 2 == pytest.approx(142.85558594543517, abs=1e-9)
         assert params.s == pytest.approx(math.sqrt(100 * 0.5 / (2 * expected_log)), rel=1e-12)
         assert params.s == pytest.approx(0.41833229284580425, abs=1e-12)
         assert params.tau == pytest.approx(16.902992986180593, abs=1e-12)
@@ -371,8 +367,8 @@ class TestSchedules:
         product = 2.0 * (10.0 * math.sqrt(10 * 100)) ** 10 * 10 * (10 * 100) ** 10
         expected_log = math.log(product)
         params = default_params(n=100, m=10, d=10, v=0.5, diameter=10.0, lipschitz=1.0, variant="compressed")
-        assert params.log_inv_zeta == pytest.approx(expected_log, rel=1e-12)
-        assert params.log_inv_zeta == pytest.approx(129.6379123882265, abs=1e-9)
+        assert params.tau**2 / 2 == pytest.approx(expected_log, rel=1e-12)
+        assert params.tau**2 / 2 == pytest.approx(129.6379123882265, abs=1e-9)
         assert params.s == pytest.approx(0.43914100346938456, abs=1e-12)
 
     def test_monotone_in_dimension(self):
@@ -380,15 +376,14 @@ class TestSchedules:
         for d in (2, 5, 10, 20):
             params = default_params(n=100, m=10, d=d, v=0.5, diameter=10.0, lipschitz=1.0)
             if prev is not None:
-                assert params.log_inv_zeta > prev.log_inv_zeta  # zeta strictly decreases
-                assert params.tau > prev.tau
+                assert params.tau > prev.tau  # zeta = exp(-tau**2 / 2) strictly decreases
             prev = params
 
     def test_log_space_survives_large_dimension(self):
         # the confidence level itself underflows here; the schedule must not
         params = default_params(n=100, m=10, d=500, v=0.5, diameter=10.0, lipschitz=1.0)
         assert math.isfinite(params.s) and params.s > 0.0
-        assert params.zeta == 0.0  # display property underflows, by design
+        assert math.exp(-params.tau**2 / 2) == 0.0
 
     def test_invalid_inputs(self):
         with pytest.raises(InvalidConfig):
@@ -400,17 +395,23 @@ class TestSchedules:
 
     def test_params_validation(self):
         with pytest.raises(InvalidConfig):
-            EstimatorParams(s=0.0, tau=1.0, v=1.0, log_inv_zeta=1.0)
+            EstimatorParams(s=0.0, tau=1.0)
         with pytest.raises(InvalidConfig):
-            EstimatorParams(s=1.0, tau=math.nan, v=1.0, log_inv_zeta=1.0)
+            EstimatorParams(s=1.0, tau=math.nan)
         with pytest.raises(InvalidConfig):
-            EstimatorParams.from_zeta(1.5, 10, 1.0)
+            EstimatorParams.from_log_inv_zeta(-math.log(1.5), 10, 1.0)
+
+    @pytest.mark.parametrize("tau", [1e6, 1e200])
+    def test_tau_without_a_table_is_refused(self, tau):
+        # the table's own check decides: beyond about tau = 1e5 it misses
+        with pytest.raises(InvalidConfig, match="estimator table"):
+            EstimatorParams(s=1.0, tau=tau)
 
     def test_from_zeta(self):
-        params = EstimatorParams.from_zeta(0.01, 100, 0.5)
+        params = EstimatorParams.from_log_inv_zeta(-math.log(0.01), 100, 0.5)
         assert params.s == pytest.approx(2.3299530089232805, abs=1e-12)
         assert params.tau == pytest.approx(3.034854258770293, abs=1e-12)
-        assert params.zeta == pytest.approx(0.01, rel=1e-12)
+        assert math.exp(-params.tau**2 / 2) == pytest.approx(0.01, rel=1e-12)
 
 
 class TestContinuityConstant:

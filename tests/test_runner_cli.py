@@ -174,6 +174,12 @@ class TestCli:
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
         assert "config error: data.noise_sigma" in capsys.readouterr().err
 
+    def test_run_refuses_noise_of_infinite_variance_with_an_explicit_v(self, tmp_path, capsys):
+        path = tmp_path / "noise.ini"
+        path.write_text("[data]\nnoise_mu = 800\n[estimator]\nv = 1\n", encoding="utf-8")
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert "config error: data.noise" in capsys.readouterr().err
+
     def test_sweep_command(self, tmp_path, capsys):
         path = self.write_config(tmp_path, extra="[aggregator]\nbeta = 0.25\n")
         out_dir = tmp_path / "sweep"
