@@ -361,6 +361,8 @@ def _resolve(raw: dict) -> ExperimentConfig:
     if comp_kind == "topk" and source == "synthetic" and k > d:
         _fail("compressor.k", f"k={k} exceeds model dimension {d}")
     compressor = _checked("compressor", CompressorSpec, kind=comp_kind, k=k, p=value["compressor.p"])
+    if not preset.codec:  # validated above, but a dense preset uploads identity
+        compressor = CompressorSpec(k=compressor.k, p=compressor.p)
 
     filled = {row.field: value[key] for key, row in KEYS.items() if row.field}
     return ExperimentConfig(
@@ -379,7 +381,7 @@ def _ignored(config: ExperimentConfig) -> list:
     and the estimator schedule declare."""
     preset = config.preset
     keys = _unread("aggregator", RULES[config.aggregator.kind].reads)
-    keys += _unread("compressor", COMPRESSOR_READS[config.compressor.kind] if preset.codec else ())
+    keys += _unread("compressor", COMPRESSOR_READS[config.compressor.kind])
     if preset.rule is not None:
         keys.append("aggregator.kind")
     if not preset.codec:

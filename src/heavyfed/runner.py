@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +23,7 @@ from .errors import NonFiniteState
 
 ROUNDS_CSV = "rounds.csv"
 SUMMARY_FILE = "summary.json-lines"
+COLUMNS = ("rep", "round", "test_loss", "param_err", "bytes_up")
 
 
 @dataclass
@@ -45,22 +46,7 @@ class RunSummary:
     axis_value: object = None
 
     def record(self) -> dict:
-        return {
-            "digest": self.digest,
-            "algorithm": self.algorithm,
-            "axis": self.axis,
-            "axis_value": self.axis_value,
-            "repetitions": self.repetitions,
-            "rounds": self.rounds,
-            "completed": self.completed,
-            "failed": [{"rep": r, "round": t} for r, t in self.failed],
-            "final_loss_mean": self.final_loss_mean,
-            "final_loss_std": self.final_loss_std,
-            "per_round_mean": self.per_round_mean,
-            "per_round_std": self.per_round_std,
-            "total_bytes": self.total_bytes,
-            "wall_time_s": self.wall_time_s,
-        }
+        return {**asdict(self), "failed": [{"rep": r, "round": t} for r, t in self.failed]}
 
 
 def _std(values) -> float:
@@ -115,19 +101,15 @@ def _format(value) -> str:
     return repr(float(value))
 
 
-def write_rounds_csv(path, runs, prefix=()):
-    """RFC-4180-style CSV with columns rep, round, test_loss, param_err, bytes_up.
-
-    ``prefix`` prepends constant (name, value) columns, used by sweeps.
-    """
+def write_rounds_csv(path, runs):
+    """RFC-4180-style CSV, one row of ``COLUMNS`` per round of each completed run."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow([*(name for name, _ in prefix), "rep", "round", "test_loss", "param_err", "bytes_up"])
-        _append_rows(writer, runs, prefix)
+        writer.writerow(COLUMNS)
+        _append_rows(writer, runs)
 
 
-def _append_rows(writer, runs, prefix=()):
-    head = [str(value) for _, value in prefix]
+def _append_rows(writer, runs, head=()):
     for rep, stream in enumerate(runs):
         if stream is None:
             continue
@@ -153,14 +135,14 @@ def sweep(config: ExperimentConfig, axis: str, values, out_dir=None) -> list[Run
     summaries = []
     with open(out / ROUNDS_CSV, "w", newline="", encoding="utf-8") as csv_fh:
         writer = csv.writer(csv_fh)
-        writer.writerow([axis, "rep", "round", "test_loss", "param_err", "bytes_up"])
+        writer.writerow([axis, *COLUMNS])
         with open(out / SUMMARY_FILE, "w", encoding="utf-8") as sum_fh:
             for value in values:
                 cfg = apply_axis(config, axis, value)
                 runs, summary = run_repetitions(cfg)
                 summary.axis = axis
                 summary.axis_value = value
-                _append_rows(writer, runs, prefix=((axis, value),))
+                _append_rows(writer, runs, head=(str(value),))
                 sum_fh.write(json.dumps(summary.record(), sort_keys=True) + "\n")
                 summaries.append(summary)
     return summaries

@@ -346,12 +346,11 @@ class TestUnreadKeys:
         small = {"experiment.rounds": 2, "experiment.repetitions": 1, "data.samples_per_device": 20, **base}
         configs = {"plain": make_config(small), "changed": make_config({**small, **change})}
         assert config_digest(configs["changed"]) == config_digest(configs["plain"])
-        if not key.endswith(".kind"):
-            # resolved without the reset to defaults, the spec carries the
-            # change, and the run must still not read it; a kind the preset
-            # fixes is replaced instead
-            configs["carried"] = _resolve({**configs["plain"].raw, **{k: str(v) for k, v in change.items()}})
-            assert configs["carried"] != configs["plain"]
+        # resolved without the reset to defaults, the spec carries the change,
+        # and the run must still not read it; a kind the preset fixes is taken
+        # from the preset by _resolve itself, so that config equals the plain one
+        configs["carried"] = _resolve({**configs["plain"].raw, **{k: str(v) for k, v in change.items()}})
+        assert (configs["carried"] == configs["plain"]) == key.endswith(".kind")
         for name, cfg in configs.items():
             run_experiment(cfg, tmp_path / name)
         assert len({(tmp_path / name / "rounds.csv").read_bytes() for name in configs}) == 1

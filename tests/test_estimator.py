@@ -1,6 +1,9 @@
 import math
+import subprocess
+import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -427,3 +430,15 @@ class TestContinuityConstant:
     def test_invalid(self):
         with pytest.raises(InvalidConfig):
             continuity_constant(0.0)
+
+
+def test_numpy_is_the_only_third_party_import():
+    # the normal CDF comes from math.erfc, so importing heavyfed in a fresh
+    # interpreter loads no third-party module but numpy
+    src = str(Path(estimator.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); before = set(sys.modules); import heavyfed; "
+        "print(sorted({name.partition('.')[0] for name in set(sys.modules) - before} - set(sys.stdlib_module_names)))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "['heavyfed', 'numpy']"

@@ -70,15 +70,15 @@ GOLDEN = {
     "baseline-krum": "d390c01c92f7fe5c7c941fbf2525084faa3815f8ab2077e2e8a84c230b3db358",
     "baseline-mean": "506f878d2c365c31ba5187e54493a9b3a0fcb6948cdbddf45cfd98575cfc8d71",
     "baseline-mkrum": "dcac7469a2bd9d24fe5ac4f00ff4f4692c69fc5ce6b44dc2d6ba85b364c1e03f",
-    "compressed-identity": "2582fe98c517f40b8513e6ce8c35c359320f9dbea996ab8861f5795f009d509d",
-    "compressed-l1": "eda82fe9b8bece1b785f20afca0ef69b922bf719d7f9056d73211d2f00f07969",
-    "compressed-randk": "60d73d35e485065406b8de2568ab04bcf953a59476acf2b03a5bc5693964c7b6",
-    "compressed-randk-gaussian": "27c0e60432b44dbcd5ab1f1c464b2476e1fd3b7c6943b3ed9c9d59915f2709bd",
+    "compressed-identity": "e2a78e82e4c2dde77b8cd810cb34e707f180a374d3053330080bcd52b1363aff",
+    "compressed-l1": "b65ab7747071be5c17433b6bb58170ba25acd16a58be3441ea3a09507c965145",
+    "compressed-randk": "0550fc25f24bad2b31acdc9c8e05957c06c2e2a4f94389e0299e5d9acaa739b2",
+    "compressed-randk-gaussian": "e66ec2f4e362c978bb32bd73244e68671602667b8294bb923c8f9233dbf1fed9",
     "compressed-randk-logistic": "d94d7346cd1c330d066ed6df9a7847642cc61384c3ce1ca91021230f64c8320a",
-    "compressed-topk": "f0fc4498f9a660dfc8462a77a41814f7b5d38b357f5e88e0783a19ce0773bd6c",
-    "robust": "26548e6c615dd6d2311d550d1494ea96d1e0343a8276205104226757bf410ad8",
+    "compressed-topk": "4afaef2eb10bac519e0414ed730cf4b6c3e8552844c0b9af334f49225822717a",
+    "robust": "b4389e6b4445ba7be05371d6a694384f3881dcf75add554c9ed89406d034bb66",
     "robust-logistic-dynamic": "671b9b9aea2053a4a1e20d49a6922510034aacb6e035963f2210ea37a8c41031",
-    "robust-randk-ignored": "26548e6c615dd6d2311d550d1494ea96d1e0343a8276205104226757bf410ad8",
+    "robust-randk-ignored": "b4389e6b4445ba7be05371d6a694384f3881dcf75add554c9ed89406d034bb66",
 }
 
 
