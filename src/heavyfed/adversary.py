@@ -96,5 +96,8 @@ def corrupt(attack: AttackSpec, honest_uploads, byz_set, rng) -> np.ndarray:
     elif attack.kind == "gaussian_noise":
         out[byz] += rng.normal(0.0, attack.strength, size=(len(byz), uploads.shape[1]))
     else:  # mean_shift: hide just outside the good cluster
-        out[byz] = good_mean + attack.strength * good.std(axis=0)
+        # good.std(axis=0)'s arithmetic, reusing the mean
+        x = good - good_mean
+        x *= x
+        out[byz] = good_mean + attack.strength * np.sqrt(np.add.reduce(x, axis=0) / good.shape[0])
     return out

@@ -162,7 +162,9 @@ def geometric_median(vectors, tol: float = 1e-8, max_iter: int = 1000) -> np.nda
 
 
 def _sq_distances(U):
-    return np.sum((U[:, None, :] - U[None, :, :]) ** 2, axis=2)
+    x = U[:, None, :] - U[None, :, :]
+    x *= x
+    return np.add.reduce(x, axis=2)
 
 
 def _neighbour_count(p, f, floor=0):
@@ -181,11 +183,27 @@ def _krum_scores(sq, f):
     return np.sort(sq, axis=1)[:, 1 : keep + 1].sum(axis=1)
 
 
+def _lowest(scores, U, ids):
+    # Position of the lowest score.  np.argmin takes the first of equal
+    # scores, so an exact tie (structural among identical uploads, or mutual
+    # nearest neighbours) goes instead to the lexicographically smallest
+    # vector, the lowest position among equal ones: the pick then does not
+    # depend on input order.  ids[j] is the row of U that scores[j] scores.
+    j = int(scores.argmin())
+    hits = scores == scores[j]
+    if np.count_nonzero(hits) > 1:
+        tied = np.flatnonzero(hits)
+        j = int(tied[np.lexsort(U[[ids[t] for t in tied]].T[::-1])[0]])
+    return j
+
+
 def krum(vectors, f: int = 0) -> np.ndarray:
-    """Return the upload closest (in summed squared distance) to its peers."""
+    """Return the upload closest (in summed squared distance) to its peers;
+    an exact tie goes to the lexicographically smallest upload."""
     U = _as_matrix(vectors)
-    _check_f("krum", U.shape[0], f)
-    return U[int(np.argmin(_krum_scores(_sq_distances(U), f)))].copy()
+    m = U.shape[0]
+    _check_f("krum", m, f)
+    return U[_lowest(_krum_scores(_sq_distances(U), f), U, range(m))].copy()
 
 
 def _bulyan_picks(U, f):
@@ -193,30 +211,27 @@ def _bulyan_picks(U, f):
     order, or None once a live score is NaN (no pick is defined then)."""
     m = U.shape[0]
     sq = _sq_distances(U)
-    # Each row is sorted once.  A pick deletes its column from every row, so
-    # a row's remaining entries stay sorted, and its score sums the same
-    # values, in the same order, as a re-sort of the pool's sub-matrix would.
+    # Each row is sorted once.  A pick deletes its row, and its column from
+    # every other row, so the pool's (p, p) arrays stay square, each row's
+    # remaining entries stay sorted, and a score sums the same values, in
+    # the same order, as a re-sort of the pool's sub-matrix would.  A sorted
+    # row is one sequence of values, so vals[i, k] == sq[i, cols[i, k]].
     cols = np.argsort(sq, axis=1)
-    vals = np.take_along_axis(sq, cols, axis=1)
-    picked = np.zeros(m, dtype=bool)
+    vals = np.sort(sq, axis=1)
+    live = list(range(m))  # the device each pool row belongs to
     chosen = []
     for p in range(m, 2 * f, -1):
         keep = _neighbour_count(p, f, floor=1)
-        scores = vals[:, 1 : keep + 1].sum(axis=1)
-        scores[picked] = np.inf
-        best = scores.min()
-        if np.isnan(best):
+        scores = np.add.reduce(vals[:, 1 : keep + 1], axis=1)
+        j = _lowest(scores, U, live)
+        if math.isnan(scores[j]):
             return None
-        tied = np.flatnonzero(scores == best)
-        # exact score ties are structural in small pools (mutual nearest
-        # neighbours); the lexicographically smallest vector wins, the lowest
-        # index among equal ones, so the pick does not depend on input order
-        pick = int(tied[np.lexsort(U[tied].T[::-1])[0]]) if tied.size > 1 else int(tied[0])
+        pick = live.pop(j)
         chosen.append(pick)
-        picked[pick] = True
         others = cols != pick
-        cols = cols[others].reshape(m, p - 1)
-        vals = vals[others].reshape(m, p - 1)
+        others[j] = False
+        cols = cols[others].reshape(p - 1, p - 1)
+        vals = vals[others].reshape(p - 1, p - 1)
     return chosen
 
 
@@ -234,10 +249,13 @@ def bulyan(vectors, f: int = 0) -> np.ndarray:
     if chosen is None:
         return np.full(U.shape[1], np.nan)
     selected = U[chosen]
-    median = np.median(selected, axis=0)
-    keep = selected.shape[0] - 2 * f
+    # np.median's arithmetic on the column-sorted selection, which holds no
+    # NaN: a NaN upload scores NaN before its first pick
+    n = selected.shape[0]
+    r = np.sort(selected, axis=0)
+    median = r[n // 2] if n % 2 else (r[n // 2 - 1] + r[n // 2]) / 2
     order = np.argsort(np.abs(selected - median), axis=0, kind="stable")
-    return np.take_along_axis(selected, order[:keep], axis=0).mean(axis=0)
+    return selected[order[: n - 2 * f], np.arange(U.shape[1])].mean(axis=0)
 
 
 def aggregate(spec: AggregatorSpec, vectors) -> np.ndarray:

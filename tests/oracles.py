@@ -105,6 +105,19 @@ def stacked_shards(model, m=3, n=20, seed=5):
     return Dataset(X, y), rng.standard_normal(model.dim)
 
 
+def krum_reference(vectors, f):
+    """Krum by its definition: each upload scores the sum of its m - f - 2
+    smallest squared distances to the others, and the lowest score wins, an
+    exact tie going to the smallest vector by Python tuple order (the first
+    of equal ones).  Finite inputs only."""
+    U = np.asarray(vectors, dtype=float)
+    m = U.shape[0]
+    sq = np.sum((U[:, None, :] - U[None, :, :]) ** 2, axis=2)
+    scores = np.sort(sq, axis=1)[:, 1 : m - f - 1].sum(axis=1)
+    best = np.flatnonzero(scores == scores.min())
+    return U[min(best, key=lambda j: tuple(U[j]))].copy()
+
+
 def bulyan_reference(vectors, f):
     """Bulyan as first written: each of the m - 2f krum picks re-sorts the
     pool's squared-distance sub-matrix, and exact score ties go to the

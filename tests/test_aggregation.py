@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -19,7 +21,7 @@ from heavyfed import (
 )
 from heavyfed import engine
 from heavyfed.aggregation import AGGREGATOR_KINDS, RULES, trim_count
-from oracles import bulyan_reference, stacked_shards
+from oracles import bulyan_reference, krum_reference, stacked_shards
 
 
 def vec(*values):
@@ -172,6 +174,12 @@ class TestKrum:
         with pytest.raises(InvalidConfig):
             krum(vec(1, 2, 3, 4), f=-1)
 
+    def test_exact_tie_goes_to_the_smallest_upload_in_any_order(self):
+        # [0, 0] and [1, 0] are each other's nearest peer, so they score the same
+        vectors = np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 5.0]])
+        for perm in itertools.permutations(range(3)):
+            assert np.array_equal(krum(vectors[list(perm)], f=0), [0.0, 0.0])
+
 
 class TestBulyan:
     def test_identical_vectors(self):
@@ -222,44 +230,69 @@ class TestBulyan:
         assert np.all(out >= finite.min(axis=0)) and np.all(out <= finite.max(axis=0))
 
 
-def bulyan_case(kind, seed, m, d):
-    """Upload arrays that stress bulyan's selection: plain gaussian rows,
-    rounded rows full of exact score ties, duplicated rows, and a block of
-    identical sign-flipped rows."""
+def selection_case(kind, seed, m, d):
+    """Upload arrays that stress krum's and bulyan's selection: plain
+    gaussian rows, rounded rows full of exact score ties, duplicated rows,
+    a block of identical sign-flipped rows of random size, and the
+    benchmark's block of floor(0.2 m) of them."""
     rng = np.random.default_rng(seed)
     U = rng.standard_normal((m, d))
     if kind == "rounded":
         return np.round(U * rng.integers(1, 3))
     if kind == "duplicates":
         return U[rng.integers(0, max(1, m // 3), size=m)]
-    if kind == "sign_flip":
-        nb = int(rng.integers(0, m // 2 + 1))
+    if kind in ("sign_flip", "byz_block"):
+        nb = int(rng.integers(0, m // 2 + 1)) if kind == "sign_flip" else m // 5
         U[:nb] = -5.0 * U[nb:].mean(axis=0)
     return U
 
 
-@st.composite
-def bulyan_sizes(draw):
-    m = draw(st.integers(3, 60))
-    return m, draw(st.integers(0, (m - 3) // 4))
+KINDS = st.sampled_from(["gaussian", "rounded", "duplicates", "sign_flip", "byz_block"])
+
+
+def selection_sizes(quotient):
+    # (m, f) up to the aggregation microbenchmark's m = 100, with f within
+    # the rule's limit: m >= quotient * f + 3
+    return st.integers(3, 100).flatmap(lambda m: st.tuples(st.just(m), st.integers(0, (m - 3) // quotient)))
 
 
 class TestBulyanMatchesReference:
     @settings(max_examples=400, deadline=None)
-    @given(
-        kind=st.sampled_from(["gaussian", "rounded", "duplicates", "sign_flip"]),
-        seed=st.integers(0, 2**32 - 1),
-        size=bulyan_sizes(),
-        d=st.integers(1, 8),
-    )
+    @given(kind=KINDS, seed=st.integers(0, 2**32 - 1), size=selection_sizes(4), d=st.integers(1, 12))
+    @example(kind="byz_block", seed=0, size=(40, 8), d=10)  # late picks tie its 8 identical rows
     @example(kind="sign_flip", seed=0, size=(40, 8), d=10)
     @example(kind="rounded", seed=1, size=(60, 14), d=2)
     @example(kind="duplicates", seed=2, size=(7, 1), d=3)
     @example(kind="rounded", seed=3, size=(3, 0), d=1)
     def test_byte_identical(self, kind, seed, size, d):
         m, f = size
-        U = bulyan_case(kind, seed, m, d)
+        U = selection_case(kind, seed, m, d)
         assert bulyan(U, f).tobytes() == bulyan_reference(U, f).tobytes()
+
+
+class TestKrumMatchesReference:
+    @settings(max_examples=400, deadline=None)
+    @given(kind=KINDS, seed=st.integers(0, 2**32 - 1), size=selection_sizes(2), d=st.integers(1, 12))
+    # each of these ends in an exact tie between distinct positions
+    @example(kind="duplicates", seed=2, size=(40, 18), d=10)
+    @example(kind="rounded", seed=1, size=(60, 28), d=2)
+    @example(kind="duplicates", seed=2, size=(7, 2), d=3)
+    @example(kind="rounded", seed=3, size=(3, 0), d=1)
+    def test_byte_identical(self, kind, seed, size, d):
+        m, f = size
+        U = selection_case(kind, seed, m, d)
+        assert krum(U, f).tobytes() == krum_reference(U, f).tobytes()
+
+
+@pytest.mark.parametrize("rule,quotient", [(krum, 2), (bulyan, 4)], ids=["krum", "bulyan"])
+@settings(max_examples=100, deadline=None)
+@given(kind=KINDS, seed=st.integers(0, 2**32 - 1), m=st.integers(3, 40), d=st.integers(1, 6))
+def test_selection_does_not_depend_on_upload_order(rule, quotient, kind, seed, m, d):
+    U = selection_case(kind, seed, m, d)
+    f = (m - 3) // quotient
+    perm = np.random.default_rng(seed).permutation(m)
+    # equal, not byte-equal: -0.0 and 0.0 tie as values, so either may win
+    assert np.array_equal(rule(U[perm], f), rule(U, f))
 
 
 class TestMean:
