@@ -17,19 +17,16 @@ from .aggregation import (
     mean,
     norm_trimmed_mean,
 )
-from .compression import CompressorSpec, effective_delta, encode, nominal_bytes
+from .compression import CompressorSpec, encode, nominal_bytes
 from .config import ExperimentConfig, apply_axis, config_digest, echo_config, make_config, parse_config
 from .datagen import (
     CsvSchema,
     NoiseSpec,
     SyntheticSpec,
     draw_w_star,
-    gen_linear,
-    gen_logistic,
+    gen_synthetic,
     load_csv,
     partition,
-    sample_lognormal_centered,
-    sample_pareto_centered,
     split_train_test,
 )
 from .engine import (
@@ -55,10 +52,8 @@ from .errors import (
 from .estimator import (
     EstimatorParams,
     TRUNCATION_CAP,
-    continuity_constant,
     default_params,
     robust_gradient,
-    robust_scalar_mean,
     smoothed_truncate,
     soft_truncate,
 )

@@ -14,8 +14,6 @@ import numpy as np
 
 from .errors import InvalidConfig
 
-ATTACK_KINDS = ("none", "sign_flip", "large_value", "gaussian_noise", "mean_shift")
-
 _DEFAULT_STRENGTH = {
     "none": 0.0,
     "sign_flip": 5.0,       # flip-and-scale factor on the good mean
@@ -23,6 +21,7 @@ _DEFAULT_STRENGTH = {
     "gaussian_noise": 1.0,  # noise standard deviation
     "mean_shift": 1.0,      # shift in units of the good coordinate-wise std
 }
+ATTACK_KINDS = tuple(_DEFAULT_STRENGTH)
 
 
 def default_strength(kind: str) -> float:

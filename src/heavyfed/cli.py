@@ -1,6 +1,6 @@
 """Command-line experiment runner.
 
-Exit codes: 0 success, 1 config error, 2 every repetition diverged.
+Exit codes: 0 success, 1 config or data error, 2 every repetition diverged.
 """
 
 from __future__ import annotations
@@ -9,7 +9,7 @@ import argparse
 import sys
 
 from .config import AXES, echo_config, parse_config
-from .errors import ConfigError
+from .errors import ConfigError, HeavyFedError
 from .runner import run_experiment, sweep
 
 
@@ -60,6 +60,9 @@ def main(argv=None) -> int:
             summaries = sweep(config, args.axis, values, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    except HeavyFedError as exc:  # raised loading or splitting the data at run time
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     if all(not s.completed for s in summaries):
         print("all repetitions diverged", file=sys.stderr)

@@ -1,10 +1,10 @@
 """Gradient compressors with energy-retention guarantees and byte accounting.
 
 Every compressor Q satisfies ||Q(x) - x||^2 <= (1 - delta) * ||x||^2 for its
-declared delta -- per instance for top-k and the sign quantizer, and in
-expectation for random sparsification.  Byte accounting is nominal: 8-byte
-values, 4-byte indices, 1-bit signs; the simulator reports these counts, not
-serialized wire bytes.
+delta -- k/d for top-k and 1/d for the sign quantizer per instance, p for
+random sparsification in expectation, 1 for identity.  Byte accounting is
+nominal: 8-byte values, 4-byte indices, 1-bit signs; the simulator reports
+these counts, not serialized wire bytes.
 
 The codec works on the whole ``(m, d)`` upload array at once: ``encode``
 turns it into its wire payload (``compress``) and back (``decompress``), and
@@ -41,16 +41,6 @@ class CompressorSpec:
             raise InvalidConfig(f"k must be >= 1, got {self.k}")
         if self.kind == "randk" and not 0.0 < self.p <= 1.0:
             raise InvalidConfig(f"randk needs keep probability in (0, 1], got {self.p}")
-
-    def declared_delta(self, d: int) -> float:
-        """Guaranteed retained-energy fraction for dimension d."""
-        if self.kind == "identity":
-            return 1.0
-        if self.kind == "topk":
-            return self.k / d
-        if self.kind == "randk":
-            return self.p  # holds in expectation
-        return 1.0 / d
 
 
 def keep_mask(spec: CompressorSpec, shape, rng):
@@ -124,21 +114,6 @@ def decompress(spec: CompressorSpec, payload) -> np.ndarray:
     out = np.zeros(mask.shape)
     out[mask] = values
     return out
-
-
-def effective_delta(spec: CompressorSpec, x, rng=None):
-    """Measured retained-energy fraction 1 - ||Q(x) - x||^2 / ||x||^2 (1.0 at x = 0).
-
-    A vector gives a float; an ``(m, d)`` array gives one delta per row.
-    """
-    x = np.asarray(x, dtype=float)
-    rows = x.reshape(1, -1) if x.ndim == 1 else x
-    wire, _ = encode(spec, rows, rng)
-    err = wire - rows
-    energy = np.sum(rows * rows, axis=1)
-    lost = np.divide(np.sum(err * err, axis=1), energy, out=np.zeros_like(energy), where=energy != 0.0)
-    delta = 1.0 - lost
-    return float(delta[0]) if x.ndim == 1 else delta
 
 
 def nominal_bytes(spec: CompressorSpec, kept) -> int:

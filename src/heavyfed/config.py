@@ -141,7 +141,7 @@ KEYS = {
     "data.devices": Key("10", _int(1), "devices"),
     "data.samples_per_device": Key("100", _int(1), "samples_per_device"),
     "data.test_samples": Key("200", _int(1), "test_samples"),
-    "data.feature_sigma": Key("auto", _auto(_positive), "feature_sigma"),
+    "data.feature_sigma": Key("auto", _auto(_positive)),
     "data.noise": Key("lognormal", _enum(*NOISE_KINDS)),
     "data.noise_mu": Key("0.0", _float),
     "data.noise_sigma": Key("0.55848", _float),
@@ -209,7 +209,7 @@ class ExperimentConfig:
     devices: int
     samples_per_device: int
     test_samples: int
-    feature_sigma: float | None
+    feature_sigma: float
     noise: NoiseSpec
     csv_path: str | None
     csv_label: str | None
@@ -239,11 +239,6 @@ class ExperimentConfig:
     @property
     def preset(self) -> Preset:
         return PRESETS[self.algorithm]
-
-    def resolved_feature_sigma(self) -> float:
-        if self.feature_sigma is not None:
-            return self.feature_sigma
-        return 3.0 if self.model_kind == "logistic" else 0.78
 
     def estimator_params(self, n, m, d) -> EstimatorParams | None:
         """Estimator schedule of the local stage, or None where the preset
@@ -322,6 +317,9 @@ def _resolve(raw: dict) -> ExperimentConfig:
         scale=value["data.noise_scale"],
         shape=value["data.noise_shape"],
     )
+    feature_sigma = value["data.feature_sigma"]
+    if feature_sigma is None:
+        feature_sigma = 3.0 if model_kind == "logistic" else 0.78
     v = value["estimator.v"]
     if v is None and source == "synthetic":
         v = noise.variance()
@@ -366,8 +364,8 @@ def _resolve(raw: dict) -> ExperimentConfig:
 
     filled = {row.field: value[key] for key, row in KEYS.items() if row.field}
     return ExperimentConfig(
-        **filled, noise=noise, v=v, manual_schedule=manual_schedule, aggregator=aggregator, compressor=compressor,
-        attack=attack, raw=dict(raw)
+        **filled, feature_sigma=feature_sigma, noise=noise, v=v, manual_schedule=manual_schedule,
+        aggregator=aggregator, compressor=compressor, attack=attack, raw=dict(raw)
     )
 
 
@@ -453,7 +451,7 @@ def echo_config(config: ExperimentConfig) -> str:
         "aggregator.f": str(config.aggregator.f),
         "attack.strength": repr(config.attack.strength),
         "estimator.v": "auto" if config.v is None else repr(config.v),
-        "data.feature_sigma": repr(config.resolved_feature_sigma()),
+        "data.feature_sigma": repr(config.feature_sigma),
         "compressor.k": str(config.compressor.k),
     }
     lines = []

@@ -1,8 +1,8 @@
 """Heavy-tailed synthetic data, CSV ingestion, partitioning and splits.
 
-Both label-noise generators are centered exactly (the raw distributions have
-positive means), and the Pareto sampler uses inverse-CDF draws so that the
-same seed reproduces the same data on any platform.
+``NoiseSpec`` centers both label-noise kinds exactly (the raw distributions
+have positive means), and draws Pareto noise by inverse CDF so that the same
+seed reproduces the same data on any platform.
 """
 
 from __future__ import annotations
@@ -17,27 +17,6 @@ from .errors import IndivisibleSplit, InvalidConfig, MissingColumn, ParseError
 from .losses import Dataset
 
 NOISE_KINDS = ("lognormal", "pareto")
-
-
-def sample_lognormal_centered(mu, sigma, rng, size=None):
-    """Log-normal draw minus its mean exp(mu + sigma^2/2); exact mean zero."""
-    if sigma <= 0.0:
-        raise InvalidConfig(f"lognormal sigma must be > 0, got {sigma}")
-    return rng.lognormal(mu, sigma, size) - math.exp(mu + sigma * sigma / 2.0)
-
-
-def sample_pareto_centered(scale, shape, rng, size=None):
-    """Pareto draw (inverse CDF) minus its mean shape*scale/(shape-1).
-
-    Requires shape > 2 so the variance is finite.  Support is one-sided:
-    every draw is >= scale - mean.
-    """
-    if shape <= 2.0:
-        raise InvalidConfig(f"pareto shape must exceed 2 for a finite variance, got {shape}")
-    if scale <= 0.0:
-        raise InvalidConfig(f"pareto scale must be > 0, got {scale}")
-    u = rng.random(size)
-    return scale * (1.0 - u) ** (-1.0 / shape) - shape * scale / (shape - 1.0)
 
 
 @dataclass(frozen=True)
@@ -68,9 +47,13 @@ class NoiseSpec:
             raise InvalidConfig(f"noise variance must be finite, got {variance}")
 
     def sample(self, rng, size=None):
+        """Draws minus the distribution's mean: exp(mu + sigma^2/2) for
+        log-normal, shape*scale/(shape-1) for Pareto, whose centered support
+        is one-sided: every draw is >= scale - mean."""
         if self.kind == "lognormal":
-            return sample_lognormal_centered(self.mu, self.sigma, rng, size)
-        return sample_pareto_centered(self.scale, self.shape, rng, size)
+            return rng.lognormal(self.mu, self.sigma, size) - math.exp(self.mu + self.sigma * self.sigma / 2.0)
+        u = rng.random(size)
+        return self.scale * (1.0 - u) ** (-1.0 / self.shape) - self.shape * self.scale / (self.shape - 1.0)
 
     def variance(self) -> float:
         if self.kind == "lognormal":
@@ -118,40 +101,19 @@ def draw_w_star(d, seed) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _resolve_w_star(spec, seed):
-    if spec.w_star is not None:
-        return spec.w_star
-    return draw_w_star(spec.d, seed)
+def gen_synthetic(spec: SyntheticSpec, seed) -> tuple[Dataset, Dataset]:
+    """Train and test data for ``spec.model_kind``; bit-identical for a given seed.
 
-
-def _features_and_noise(spec, rng, count):
-    X = rng.lognormal(0.0, spec.feature_sigma, size=(count, spec.d))
-    noise = spec.noise.sample(rng, count)
-    return X, noise
-
-
-def gen_linear(spec: SyntheticSpec, seed) -> tuple[Dataset, Dataset]:
-    """Linear-response data y = <x, w*> + noise; bit-identical for a given seed."""
-    if spec.model_kind != "linear":
-        raise InvalidConfig(f"gen_linear called with model kind {spec.model_kind!r}")
-    w_star = _resolve_w_star(spec, seed)
+    Linear: y = <x, w*> + noise.  Logistic: y = sign(sigmoid(<x, w*> + noise)
+    - 1/2), sign(0) = +1.  w* is ``spec.w_star``, else ``draw_w_star(spec.d, seed)``.
+    """
+    w_star = draw_w_star(spec.d, seed) if spec.w_star is None else spec.w_star
     out = []
     for key, count in ((1, spec.n_train), (2, spec.n_test)):
-        X, noise = _features_and_noise(spec, _stream(seed, key), count)
-        out.append(Dataset(X, X @ w_star + noise))
-    return out[0], out[1]
-
-
-def gen_logistic(spec: SyntheticSpec, seed) -> tuple[Dataset, Dataset]:
-    """Binary labels y = sign(sigmoid(<x, w*> + noise) - 1/2), sign(0) = +1."""
-    if spec.model_kind != "logistic":
-        raise InvalidConfig(f"gen_logistic called with model kind {spec.model_kind!r}")
-    w_star = _resolve_w_star(spec, seed)
-    out = []
-    for key, count in ((1, spec.n_train), (2, spec.n_test)):
-        X, noise = _features_and_noise(spec, _stream(seed, key), count)
-        z = X @ w_star + noise
-        out.append(Dataset(X, np.where(z >= 0.0, 1.0, -1.0)))
+        rng = _stream(seed, key)
+        X = rng.lognormal(0.0, spec.feature_sigma, size=(count, spec.d))
+        z = X @ w_star + spec.noise.sample(rng, count)
+        out.append(Dataset(X, z if spec.model_kind == "linear" else np.where(z >= 0.0, 1.0, -1.0)))
     return out[0], out[1]
 
 
@@ -189,8 +151,19 @@ class CsvSchema:
     add_bias: bool = False
 
 
+def _cell(row_num, row, name, idx) -> float:
+    try:
+        value = float(row[idx])
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ParseError(f"row {row_num}, column {name!r}: not a finite number: {row[idx]!r}")
+    return value
+
+
 def load_csv(path, schema: CsvSchema) -> Dataset:
-    """Read a numeric, comma-separated, header-first CSV into a Dataset.
+    """Read a numeric, comma-separated, header-first CSV into a Dataset; a
+    cell that is not a finite number is a ParseError naming its row and column.
 
     Standardization (when enabled) makes every feature column zero mean and
     unit variance over the loaded rows; constant columns are left centered.
@@ -221,21 +194,8 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
         for row_num, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise ParseError(f"row {row_num}: expected {len(header)} fields, found {len(row)}")
-            values = []
-            for name, idx in zip(feature_names, feat_idx):
-                try:
-                    values.append(float(row[idx]))
-                except ValueError:
-                    raise ParseError(
-                        f"row {row_num}, column {name!r}: not a number: {row[idx]!r}"
-                    ) from None
-            try:
-                labels.append(float(row[label_idx]))
-            except ValueError:
-                raise ParseError(
-                    f"row {row_num}, column {schema.label_column!r}: not a number: {row[label_idx]!r}"
-                ) from None
-            features.append(values)
+            features.append([_cell(row_num, row, name, idx) for name, idx in zip(feature_names, feat_idx)])
+            labels.append(_cell(row_num, row, schema.label_column, label_idx))
 
     if not features:
         raise ParseError(f"{path}: no data rows")

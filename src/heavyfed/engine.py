@@ -25,16 +25,7 @@ import numpy as np
 
 from . import adversary, aggregation, compression
 from .config import ExperimentConfig
-from .datagen import (
-    CsvSchema,
-    SyntheticSpec,
-    draw_w_star,
-    gen_linear,
-    gen_logistic,
-    load_csv,
-    partition,
-    split_train_test,
-)
+from .datagen import CsvSchema, SyntheticSpec, draw_w_star, gen_synthetic, load_csv, partition, split_train_test
 from .errors import InvalidConfig, NonFiniteState
 from .estimator import robust_gradient
 from .losses import LossModel, empirical_risk, mean_gradients, per_sample_gradients
@@ -115,14 +106,13 @@ def build_data(config: ExperimentConfig, rep: int = 0):
         spec = SyntheticSpec(
             model_kind=config.model_kind,
             d=config.dimension,
-            feature_sigma=config.resolved_feature_sigma(),
+            feature_sigma=config.feature_sigma,
             noise=config.noise,
             n_train=config.devices * config.samples_per_device,
             n_test=config.test_samples,
             w_star=draw_w_star(config.dimension, seed),
         )
-        gen = gen_linear if config.model_kind == "linear" else gen_logistic
-        train, test = gen(spec, seed)
+        train, test = gen_synthetic(spec, seed)
         model = LossModel(config.model_kind, config.dimension, config.mlp_hidden, config.mlp_objective)
         return train, test, spec.w_star, model
     schema = CsvSchema(
@@ -204,8 +194,10 @@ def run(config: ExperimentConfig, rep: int = 0) -> list[RoundMetrics]:
     shards = partition(train, m, seed=stream_seed(config, rep, "partition"))
     d = model.dim
 
-    smooth = config.smoothness if config.smoothness is not None else estimate_smoothness(model, train)
-    eta = config.eta if config.eta is not None else 1.0 / smooth
+    eta = config.eta
+    if eta is None:  # only an auto eta reads the smoothness
+        smooth = config.smoothness if config.smoothness is not None else estimate_smoothness(model, train)
+        eta = 1.0 / smooth
     space = ParamSpace(np.zeros(d), config.space_radius)
     w = _initial_point(config, rep, d, space)
 

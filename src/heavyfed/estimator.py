@@ -356,16 +356,6 @@ def _smoothed_values(x, params: EstimatorParams):
     return out.reshape(np.shape(x))
 
 
-def robust_scalar_mean(samples, params: EstimatorParams) -> float:
-    """Robust mean of scalar samples; bounded by ``2*sqrt(2)/3 * s``."""
-    x = np.asarray(samples, dtype=float)
-    if x.size == 0:
-        raise EmptyInput("robust_scalar_mean needs at least one sample")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("samples must be finite")
-    return float(params.s * _smoothed_values(x, params).mean())
-
-
 def robust_gradient(model, w, data, params: EstimatorParams, keep=None) -> np.ndarray:
     """Coordinate-wise robust mean of the per-sample loss gradients.
 
@@ -394,9 +384,3 @@ def robust_gradient(model, w, data, params: EstimatorParams, keep=None) -> np.nd
         values[kept] = _smoothed_values(grads[kept], params)
     return params.s * values.mean(axis=-2)
 
-
-def continuity_constant(tau: float) -> float:
-    """Lipschitz constant of the scalar estimator w.r.t. the l1 sample distance / n."""
-    if tau <= 0.0:
-        raise InvalidConfig(f"tau must be > 0, got {tau}")
-    return math.erf(math.sqrt(0.5 * tau)) + math.sqrt(2.0 / (tau * math.pi)) * math.exp(-0.5 * tau)

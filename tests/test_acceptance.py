@@ -17,21 +17,19 @@ import pytest
 
 from heavyfed import (
     CompressorSpec,
+    NoiseSpec,
     build_data,
-    effective_delta,
     make_config,
     robust_gradient,
     run,
     run_repetitions,
     run_experiment,
-    sample_lognormal_centered,
-    sample_pareto_centered,
     smoothed_truncate,
     soft_truncate,
 )
 from heavyfed.datagen import partition
 from heavyfed.engine import stream_seed
-from oracles import GRID_A, GRID_B, concentration_failures, continuity_worst_ratio
+from oracles import GRID_A, GRID_B, concentration_failures, continuity_worst_ratio, effective_delta
 
 MC_DRAWS = 10**6
 
@@ -265,8 +263,8 @@ class TestCriterion9:
         # inside the stated band and the rng makes the check deterministic
         start = time.perf_counter()
         rng = np.random.default_rng(6)
-        ln_var = float(sample_lognormal_centered(0.0, 0.55848, rng, MC_DRAWS).var())
-        pa_var = float(sample_pareto_centered(1.0, 3.26953, rng, MC_DRAWS).var())
+        ln_var = float(NoiseSpec(sigma=0.55848).sample(rng, MC_DRAWS).var())
+        pa_var = float(NoiseSpec(kind="pareto", scale=1.0, shape=3.26953).sample(rng, MC_DRAWS).var())
         ok = abs(ln_var - 0.5) <= 0.02 and abs(pa_var - 0.5) <= 0.02
         elapsed = time.perf_counter() - start
         report(

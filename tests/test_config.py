@@ -44,6 +44,12 @@ class TestDefaults:
         assert cfg.space_radius == 10.0
         assert cfg.diameter == 10.0
         assert cfg.lipschitz == 1.0
+        assert cfg.feature_sigma == 0.78  # auto resolves by model kind
+
+    def test_auto_feature_sigma_of_logistic_models(self):
+        cfg = make_config({"model.kind": "logistic"})
+        assert cfg.feature_sigma == 3.0
+        assert "feature_sigma = 3.0" in echo_config(cfg)
 
     def test_defaults_echoed(self, tmp_path):
         cfg = parse_config(write(tmp_path, "[experiment]\nrounds = 5\n"))
@@ -439,7 +445,7 @@ class TestApplyAxis:
 
     def test_sigma_axis(self):
         out = apply_axis(make_config({}), "sigma_x", 0.3)
-        assert out.resolved_feature_sigma() == 0.3
+        assert out.feature_sigma == 0.3
 
     def test_compressor_axis(self):
         cfg = make_config({"experiment.algorithm": "robust_compressed"})

@@ -13,12 +13,9 @@ from heavyfed import (
     ParseError,
     SyntheticSpec,
     draw_w_star,
-    gen_linear,
-    gen_logistic,
+    gen_synthetic,
     load_csv,
     partition,
-    sample_lognormal_centered,
-    sample_pareto_centered,
     split_train_test,
 )
 from heavyfed.losses import Dataset
@@ -30,30 +27,31 @@ PARETO_SHAPE = 3.26953
 class TestLogNormalCentered:
     def test_mean_is_zero(self):
         rng = np.random.default_rng(0)
-        draws = sample_lognormal_centered(0.0, LN_SIGMA, rng, 10**6)
+        draws = NoiseSpec(sigma=LN_SIGMA).sample(rng, 10**6)
         assert abs(draws.mean()) <= 0.003
 
     def test_variance_matches_closed_form(self):
         rng = np.random.default_rng(1)
-        draws = sample_lognormal_centered(0.0, LN_SIGMA, rng, 10**6)
+        draws = NoiseSpec(sigma=LN_SIGMA).sample(rng, 10**6)
         expected = (math.exp(LN_SIGMA**2) - 1.0) * math.exp(LN_SIGMA**2)
         assert expected == pytest.approx(0.5, abs=2e-4)
         assert draws.var() == pytest.approx(expected, abs=0.02)
 
     def test_degenerate_sigma_limit(self):
         rng = np.random.default_rng(2)
-        draws = sample_lognormal_centered(0.0, 1e-12, rng, 1000)
+        draws = NoiseSpec(sigma=1e-12).sample(rng, 1000)
         assert np.max(np.abs(draws)) < 1e-9
 
     def test_invalid_sigma(self):
-        with pytest.raises(InvalidConfig):
-            sample_lognormal_centered(0.0, 0.0, np.random.default_rng(0), 10)
+        for sigma in (0.0, -0.5):
+            with pytest.raises(InvalidConfig, match="sigma must be > 0"):
+                NoiseSpec(sigma=sigma)
 
 
 class TestParetoCentered:
     def test_variance_matches_lognormal_calibration(self):
         rng = np.random.default_rng(3)
-        draws = sample_pareto_centered(1.0, PARETO_SHAPE, rng, 10**6)
+        draws = NoiseSpec(kind="pareto", shape=PARETO_SHAPE).sample(rng, 10**6)
         a = PARETO_SHAPE
         expected = a / ((a - 1.0) ** 2 * (a - 2.0))
         assert expected == pytest.approx(0.5, abs=1e-5)
@@ -62,22 +60,21 @@ class TestParetoCentered:
 
     def test_one_sided_support(self):
         rng = np.random.default_rng(4)
-        draws = sample_pareto_centered(1.0, PARETO_SHAPE, rng, 10**5)
+        draws = NoiseSpec(kind="pareto", shape=PARETO_SHAPE).sample(rng, 10**5)
         mean = PARETO_SHAPE / (PARETO_SHAPE - 1.0)
         assert np.min(draws) >= 1.0 - mean - 1e-12
         assert np.all(draws > -mean)  # the loose bound -shape*scale/(shape-1)
 
     def test_median(self):
         rng = np.random.default_rng(5)
-        draws = sample_pareto_centered(1.0, PARETO_SHAPE, rng, 10**6)
+        draws = NoiseSpec(kind="pareto", shape=PARETO_SHAPE).sample(rng, 10**6)
         expected = 2.0 ** (1.0 / PARETO_SHAPE) - PARETO_SHAPE / (PARETO_SHAPE - 1.0)
         assert np.median(draws) == pytest.approx(expected, abs=0.005)
 
     def test_shape_must_exceed_two(self):
-        with pytest.raises(InvalidConfig):
-            sample_pareto_centered(1.0, 2.0, np.random.default_rng(0), 10)
-        with pytest.raises(InvalidConfig):
-            NoiseSpec(kind="pareto", shape=1.5)
+        for shape in (2.0, 1.5):
+            with pytest.raises(InvalidConfig, match="shape must exceed 2"):
+                NoiseSpec(kind="pareto", shape=shape)
 
 
 class TestNoiseSpec:
@@ -100,15 +97,15 @@ class TestNoiseSpec:
 class TestGenLinear:
     def test_noiseless_identifiability(self):
         spec = SyntheticSpec(noise=NoiseSpec(sigma=1e-9), n_train=1000)
-        train, _ = gen_linear(spec, seed=0)
+        train, _ = gen_synthetic(spec, seed=0)
         w_star = draw_w_star(spec.d, 0)
         recovered, *_ = np.linalg.lstsq(train.features, train.labels, rcond=None)
         assert np.linalg.norm(recovered - w_star) < 1e-6
 
     def test_same_seed_bit_identical(self):
         spec = SyntheticSpec()
-        a_train, a_test = gen_linear(spec, seed=42)
-        b_train, b_test = gen_linear(spec, seed=42)
+        a_train, a_test = gen_synthetic(spec, seed=42)
+        b_train, b_test = gen_synthetic(spec, seed=42)
         assert np.array_equal(a_train.features, b_train.features)
         assert np.array_equal(a_train.labels, b_train.labels)
         assert np.array_equal(a_test.features, b_test.features)
@@ -118,14 +115,14 @@ class TestGenLinear:
         spec = SyntheticSpec()
         assert (spec.d, spec.feature_sigma, spec.n_train, spec.n_test) == (10, 0.78, 1000, 200)
         assert (spec.noise.kind, spec.noise.sigma) == ("lognormal", 0.55848)
-        train, test = gen_linear(spec, seed=1)
+        train, test = gen_synthetic(spec, seed=1)
         assert (len(train), len(test)) == (1000, 200)
 
     def test_explicit_w_star_used(self):
         w = np.zeros(10)
         w[0] = 1.0
         spec = SyntheticSpec(w_star=w, noise=NoiseSpec(sigma=1e-9))
-        train, _ = gen_linear(spec, seed=3)
+        train, _ = gen_synthetic(spec, seed=3)
         assert np.allclose(train.labels, train.features[:, 0], atol=1e-6)
 
 
@@ -134,28 +131,35 @@ class TestGenLogistic:
         # all-positive w* and log-normal (positive) features force z > 0
         w = np.full(10, 1.0) / math.sqrt(10.0)
         spec = SyntheticSpec(model_kind="logistic", w_star=w, noise=NoiseSpec(sigma=1e-9))
-        train, test = gen_logistic(spec, seed=0)
+        train, test = gen_synthetic(spec, seed=0)
         assert np.all(train.labels == 1.0)
         assert np.all(test.labels == 1.0)
 
     def test_labels_are_signs(self):
         spec = SyntheticSpec(model_kind="logistic", feature_sigma=3.0)
-        train, _ = gen_logistic(spec, seed=1)
+        train, _ = gen_synthetic(spec, seed=1)
         assert set(np.unique(train.labels)) <= {-1.0, 1.0}
 
     def test_label_balance_under_null_model(self):
         # with w* = 0 the label is the sign of the noise; compare the
         # positive fraction against P(xi >= 0) = Phi(-sigma/2)
         spec = SyntheticSpec(model_kind="logistic", w_star=np.zeros(10), n_train=200_000)
-        train, _ = gen_logistic(spec, seed=2)
+        train, _ = gen_synthetic(spec, seed=2)
         frac = float((train.labels == 1.0).mean())
         expected = NormalDist().cdf(-LN_SIGMA / 2.0)
         assert frac == pytest.approx(expected, abs=0.005)
 
+    def test_labels_are_the_signs_of_the_linear_response(self):
+        # one generator: the model kind picks the label rule, nothing else
+        linear, _ = gen_synthetic(SyntheticSpec(), seed=4)
+        logistic, _ = gen_synthetic(SyntheticSpec(model_kind="logistic"), seed=4)
+        assert np.array_equal(linear.features, logistic.features)
+        assert np.array_equal(logistic.labels, np.where(linear.labels >= 0.0, 1.0, -1.0))
+
     def test_same_seed_bit_identical(self):
         spec = SyntheticSpec(model_kind="logistic")
-        a_train, _ = gen_logistic(spec, seed=9)
-        b_train, _ = gen_logistic(spec, seed=9)
+        a_train, _ = gen_synthetic(spec, seed=9)
+        b_train, _ = gen_synthetic(spec, seed=9)
         assert np.array_equal(a_train.features, b_train.features)
         assert np.array_equal(a_train.labels, b_train.labels)
 
@@ -242,6 +246,14 @@ class TestLoadCsv:
         path = tmp_path / "d.csv"
         path.write_text("a,y\n1,2\noops,4\n", encoding="utf-8")
         with pytest.raises(ParseError, match=r"row 3.*'a'"):
+            load_csv(path, CsvSchema(label_column="y"))
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell_names_row_and_column(self, tmp_path, text):
+        # float() reads these; a loaded dataset must still be finite
+        path = tmp_path / "d.csv"
+        path.write_text(f"a,y\n1,2\n3,{text}\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=r"row 3, column 'y': not a finite number"):
             load_csv(path, CsvSchema(label_column="y"))
 
     def test_missing_column(self, tmp_path):

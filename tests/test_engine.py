@@ -538,6 +538,26 @@ class TestDispatchAndSeeds:
             float(np.linalg.eigvalsh(train2.features.T @ train2.features / len(train2))[-1]) / 4.0
         )
 
+    def test_mlp_on_csv_with_only_eta_set_runs(self, tmp_path):
+        # an explicit eta reads no smoothness, and mlp models have no estimate of it
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((40, 2))
+        data = tmp_path / "data.csv"
+        data.write_text("a,b,y\n" + "".join(f"{a},{b},{a - b}\n" for a, b in X), encoding="utf-8")
+        cfg = tiny_config(**{
+            "experiment.rounds": 1,
+            "experiment.eta": 0.05,
+            "model.kind": "mlp",
+            "data.source": "csv",
+            "data.path": str(data),
+            "data.label_column": "y",
+            "data.test_samples": 10,
+            "estimator.v": 1.0,
+        })
+        metrics = run(cfg)
+        assert [m.round_index for m in metrics] == [0, 1]
+        assert math.isfinite(metrics[1].test_loss)
+
     def test_random_initial_point_is_feasible_and_seeded(self):
         cfg = tiny_config(**{"experiment.w0": "random", "experiment.rounds": 1})
         a = run(cfg)

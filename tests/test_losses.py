@@ -172,6 +172,8 @@ class TestShapes:
             Dataset(np.zeros(3), np.zeros(3))
         with pytest.raises(ValueError):
             Dataset(np.array([[math.inf, 0.0]]), np.zeros(1))
+        with pytest.raises(ValueError):
+            Dataset(np.zeros((2, 1)), np.array([1.0, math.nan]))
 
 
 class TestStackedShards:

@@ -180,6 +180,29 @@ class TestCli:
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
         assert "config error: data.noise" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "table, names",
+        [("a,b\n1,2\n", "label column 'y'"), ("a,y\n1,2\n3,oops\n", "row 3, column 'y'")],
+        ids=["missing_column", "non_numeric_cell"],
+    )
+    def test_run_reports_a_data_error_in_one_line(self, tmp_path, capsys, table, names):
+        # validate does not read the data, so the error first shows at run time
+        data = tmp_path / "data.csv"
+        data.write_text(table, encoding="utf-8")
+        path = tmp_path / "csv.ini"
+        path.write_text(
+            "[experiment]\nrounds = 2\nrepetitions = 1\n"
+            f"[data]\nsource = csv\npath = {data}\nlabel_column = y\ndevices = 1\ntest_samples = 1\n"
+            "[estimator]\nv = 1\n",
+            encoding="utf-8",
+        )
+        assert main(["validate", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and names in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_sweep_command(self, tmp_path, capsys):
         path = self.write_config(tmp_path, extra="[aggregator]\nbeta = 0.25\n")
         out_dir = tmp_path / "sweep"
