@@ -29,14 +29,7 @@ from .datagen import (
     partition,
     split_train_test,
 )
-from .engine import (
-    ParamSpace,
-    RoundMetrics,
-    build_data,
-    estimate_smoothness,
-    project,
-    run,
-)
+from .engine import RoundMetrics, build_data, estimate_smoothness, project, run
 from .errors import (
     ConfigError,
     DimensionMismatch,

@@ -55,17 +55,14 @@ def byzantine_count(alpha: float, m: int) -> int:
     return int(math.floor(round(alpha * m, 12)))
 
 
-def select_byzantine(m: int, alpha: float, dynamic: bool, round_index: int, seed) -> frozenset:
-    """Byzantine device subset for one round.
+def select_byzantine(m: int, alpha: float, rng) -> frozenset:
+    """floor(alpha * m) distinct devices of m, drawn from ``rng``.
 
-    Static sets are identical every round for a given seed; dynamic sets are
-    re-drawn per round, still deterministically.
+    With no Byzantine device the set is empty and ``rng`` may be ``None``.
     """
     count = byzantine_count(alpha, m)
     if count == 0:
         return frozenset()
-    key = (1 + round_index,) if dynamic else (0,)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
     return frozenset(int(i) for i in rng.choice(m, size=count, replace=False))
 
 

@@ -137,8 +137,6 @@ def geometric_median(vectors, tol: float = 1e-8, max_iter: int = 1000) -> np.nda
     last iterate if max_iter is exhausted.
     """
     U = _as_matrix(vectors)
-    if U.shape[0] == 1:
-        return U[0].copy()
     centroid = U.mean(axis=0)
     scale = max(float(np.linalg.norm(U, axis=1).max()), 1.0)
     y = centroid

@@ -9,8 +9,8 @@ these counts, not serialized wire bytes.
 The codec works on the whole ``(m, d)`` upload array at once: ``encode``
 turns it into its wire payload (``compress``) and back (``decompress``), and
 ``nominal_bytes`` prices the kept counts it reports.  Random-k's choice of
-positions does not depend on the values, so ``keep_mask`` can draw it before
-the uploads exist and ``encode`` code them with it.
+positions does not depend on the values, so ``keep_mask`` draws it before
+the uploads exist, and ``encode`` codes them with it: the codec draws nothing.
 """
 
 from __future__ import annotations
@@ -57,14 +57,13 @@ def keep_mask(spec: CompressorSpec, shape, rng):
     return rng.random(shape) < spec.p
 
 
-def encode(spec: CompressorSpec, U, rng=None, mask=None):
+def encode(spec: CompressorSpec, U, mask=None):
     """Encode the ``(m, d)`` uploads, one row per device.
 
     Returns the decoded wire array the server sees and the number of values
     each row kept.  Identity returns ``U`` itself.  ``randk`` codes with
-    ``mask`` when one is given (a ``keep_mask`` of ``U``'s shape), and
-    otherwise draws one from an explicit ``rng``, so the draws are
-    reproducible and attributable to one stream.
+    ``mask``, a ``keep_mask`` of ``U``'s shape: the codec draws nothing, so
+    every draw comes from the stream its caller drew the mask from.
     """
     U = np.asarray(U, dtype=float)
     if U.ndim != 2 or U.size == 0:
@@ -72,19 +71,18 @@ def encode(spec: CompressorSpec, U, rng=None, mask=None):
     m, d = U.shape
     if spec.kind == "identity":
         return U, np.full(m, d)
-    payload = compress(spec, U, rng, mask)
+    payload = compress(spec, U, mask)
     # sparse payloads keep their mask's positions; the sign quantizer keeps every sign
     kept = np.full(m, d) if spec.kind == "l1" else np.count_nonzero(payload[0], axis=1)
     return decompress(spec, payload), kept
 
 
-def compress(spec: CompressorSpec, U: np.ndarray, rng=None, mask=None):
+def compress(spec: CompressorSpec, U: np.ndarray, mask=None):
     """Wire payload of a non-empty ``(m, d)`` float array (``encode``'s first half).
 
     Sparse kinds: ``(mask, values)``, the kept positions and their values in
     row-major order.  ``l1``: ``(scale, signs)``, one scale per row and int8
-    signs with sign(0) = +1.  ``mask`` is random-k's keep mask, drawn from
-    ``rng`` when not given.
+    signs with sign(0) = +1.  Random-k needs ``mask``, its keep mask.
     """
     d = U.shape[1]
     if spec.kind == "topk":
@@ -96,8 +94,8 @@ def compress(spec: CompressorSpec, U: np.ndarray, rng=None, mask=None):
         return mask, U[mask]
     if spec.kind == "randk":
         if mask is None:
-            mask = keep_mask(spec, U.shape, rng)
-        elif np.shape(mask) != U.shape:
+            raise InvalidConfig("randk compression requires a keep mask drawn by keep_mask")
+        if np.shape(mask) != U.shape:
             raise DimensionMismatch(f"randk mask of shape {np.shape(mask)} for uploads of shape {U.shape}")
         return mask, U[mask]
     scale = np.abs(U).sum(axis=1) / d

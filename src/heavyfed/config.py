@@ -388,6 +388,8 @@ def _ignored(config: ExperimentConfig) -> list:
         keys += _unread("estimator", ())
     elif not _derives_schedule(preset, config.manual_schedule):
         keys += _unread("estimator", [f.name for f in fields(EstimatorParams)])
+    keys += ["model.hidden", "model.objective"] if config.model_kind != "mlp" else []
+    keys += ["experiment.smoothness"] if config.eta is not None else []  # only an auto eta reads it
     return keys
 
 

@@ -129,8 +129,7 @@ def partition(data: Dataset, m: int, seed=0) -> Dataset:
     if n % m != 0:
         raise IndivisibleSplit(f"{n} samples cannot be split evenly across {m} devices")
     perm = np.random.default_rng(np.random.SeedSequence(entropy=seed)).permutation(n)
-    shuffled = data.take(perm)
-    return Dataset(shuffled.features.reshape(m, n // m, -1), shuffled.labels.reshape(m, n // m))
+    return Dataset(data.features[perm].reshape(m, n // m, -1), data.labels[perm].reshape(m, n // m))
 
 
 def split_train_test(data: Dataset, n_test: int, seed=0) -> tuple[Dataset, Dataset]:
@@ -163,13 +162,18 @@ def _cell(row_num, row, name, idx) -> float:
 
 def load_csv(path, schema: CsvSchema) -> Dataset:
     """Read a numeric, comma-separated, header-first CSV into a Dataset; a
-    cell that is not a finite number is a ParseError naming its row and column.
+    cell that is not a finite number is a ParseError naming its row and column,
+    and so is a file that cannot be opened.
 
     Standardization (when enabled) makes every feature column zero mean and
     unit variance over the loaded rows; constant columns are left centered.
     A bias feature of ones is appended last when ``add_bias`` is set.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    try:
+        fh = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot open: {exc.strerror}") from None
+    with fh:
         reader = csv.reader(fh)
         try:
             header = [h.strip() for h in next(reader)]

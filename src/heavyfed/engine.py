@@ -7,13 +7,13 @@ what fills the stages, and the config's preset table resolves that choice
 once: ``run`` reads the estimator schedule, the codec and the aggregation
 rule from the config.  The local stage evaluates every device in one
 batched call over the stacked ``(m, n, p)`` shards, and the codec encodes
-the whole array in one call, drawing from one stream per round (not one
-per device) that serves every upload and then the Byzantine re-encodes.
-Random-k's keep mask does not depend on the uploads, so it is drawn from
-that stream at the start of the round, and the robust estimator evaluates
-only the ``(device, coordinate)`` entries it keeps.  Device computations
-are pure functions of (round state, shard, derived seed), so identical
-configs and seeds reproduce bit-identical metric streams.
+the whole array in one call.  ``run`` builds every generator a stage draws
+from; the codec and the adversary draw from nothing else.  Random-k's keep
+masks come from one stream per round (not one per device): every upload's
+at the start of the round, so the robust estimator evaluates only the
+``(device, coordinate)`` entries it keeps, then the Byzantine re-encodes'.
+Device computations are pure functions of (round state, shard, derived
+seed), so identical configs and seeds reproduce bit-identical metric streams.
 """
 
 from __future__ import annotations
@@ -31,34 +31,19 @@ from .estimator import robust_gradient
 from .losses import LossModel, empirical_risk, mean_gradients, per_sample_gradients
 
 
-@dataclass(frozen=True)
-class ParamSpace:
-    """Euclidean ball the iterates are projected back into."""
-
-    center: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        center = np.asarray(self.center, dtype=float)
-        object.__setattr__(self, "center", center)
-        if center.ndim != 1:
-            raise InvalidConfig("parameter space center must be a vector")
-        if not (math.isfinite(self.radius) and self.radius > 0.0):
-            raise InvalidConfig(f"parameter space radius must be finite and > 0, got {self.radius}")
-
-
-def project(w, space: ParamSpace) -> np.ndarray:
-    """Exact Euclidean projection onto the ball.
+def project(w, radius: float) -> np.ndarray:
+    """Exact Euclidean projection onto the ball of ``radius`` around the origin.
 
     Non-finite inputs pass through unchanged so the caller's divergence
     check sees them.
     """
+    if not (math.isfinite(radius) and radius > 0.0):
+        raise InvalidConfig(f"projection radius must be finite and > 0, got {radius}")
     w = np.asarray(w, dtype=float)
-    offset = w - space.center
-    dist = float(np.linalg.norm(offset))
-    if not math.isfinite(dist) or dist <= space.radius:
+    dist = float(np.linalg.norm(w))
+    if not math.isfinite(dist) or dist <= radius:
         return w
-    return space.center + (space.radius / dist) * offset
+    return (radius / dist) * w
 
 
 @dataclass(frozen=True)
@@ -113,18 +98,18 @@ def build_data(config: ExperimentConfig, rep: int = 0):
             w_star=draw_w_star(config.dimension, seed),
         )
         train, test = gen_synthetic(spec, seed)
-        model = LossModel(config.model_kind, config.dimension, config.mlp_hidden, config.mlp_objective)
-        return train, test, spec.w_star, model
-    schema = CsvSchema(
-        label_column=config.csv_label,
-        feature_columns=config.csv_features,
-        standardize=config.csv_standardize,
-        add_bias=config.csv_add_bias,
-    )
-    data = load_csv(config.csv_path, schema)
-    train, test = split_train_test(data, config.test_samples, seed)
+        w_star = spec.w_star
+    else:
+        schema = CsvSchema(
+            label_column=config.csv_label,
+            feature_columns=config.csv_features,
+            standardize=config.csv_standardize,
+            add_bias=config.csv_add_bias,
+        )
+        train, test = split_train_test(load_csv(config.csv_path, schema), config.test_samples, seed)
+        w_star = None
     model = LossModel(config.model_kind, train.features.shape[1], config.mlp_hidden, config.mlp_objective)
-    return train, test, None, model
+    return train, test, w_star, model
 
 
 def estimate_smoothness(model: LossModel, train) -> float:
@@ -138,13 +123,13 @@ def estimate_smoothness(model: LossModel, train) -> float:
     return lam if model.kind == "linear" else lam / 4.0
 
 
-def _initial_point(config, rep, d, space):
+def _initial_point(config, rep, d):
     if config.w0 == "origin":
         return np.zeros(d)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=stream_seed(config, rep, "init")))
     direction = rng.standard_normal(d)
     direction /= np.linalg.norm(direction)
-    return space.center + space.radius * rng.random() ** (1.0 / d) * direction
+    return config.space_radius * rng.random() ** (1.0 / d) * direction
 
 
 def _local_stage(model, shards, est, rule):
@@ -183,7 +168,8 @@ def _uplink(codec, uploads, keep, attack, byz, adv_rng, codec_rng):
         # Byzantine devices choose their own wire message; it is emitted in the
         # run's message format, and its bytes replace the honest message's.
         rows = sorted(byz)
-        vectors[rows], kept[rows] = compression.encode(codec, vectors[rows], codec_rng)
+        mask = compression.keep_mask(codec, (len(rows), uploads.shape[1]), codec_rng)
+        vectors[rows], kept[rows] = compression.encode(codec, vectors[rows], mask=mask)
     return vectors, compression.nominal_bytes(codec, kept)
 
 
@@ -198,16 +184,20 @@ def run(config: ExperimentConfig, rep: int = 0) -> list[RoundMetrics]:
     if eta is None:  # only an auto eta reads the smoothness
         smooth = config.smoothness if config.smoothness is not None else estimate_smoothness(model, train)
         eta = 1.0 / smooth
-    space = ParamSpace(np.zeros(d), config.space_radius)
-    w = _initial_point(config, rep, d, space)
+    w = _initial_point(config, rep, d)
 
     codec, rule = config.compressor, config.aggregator
     local = _local_stage(model, shards, config.estimator_params(n=len(shards), m=m, d=d), rule)
     adv_seed = stream_seed(config, rep, "adversary")
     comp_seed = stream_seed(config, rep, "compressor")
     alpha, dynamic = config.attack.alpha, config.attack.dynamic
+    has_byz = adversary.byzantine_count(alpha, m) > 0
+    # adversary stream keys: (0,) the static set, (1 + t,) round t's dynamic set, (t, 1) its noise
+    def byzantine_set(key):
+        return adversary.select_byzantine(m, alpha, _round_rng(has_byz, adv_seed, key))
+
     # a static Byzantine set is the same every round: draw it once
-    static_byz = None if dynamic else adversary.select_byzantine(m, alpha, False, 0, adv_seed)
+    static_byz = None if dynamic else byzantine_set((0,))
 
     def snapshot(t, bytes_up, grad_norm, w_now):
         err = float(np.linalg.norm(w_now - w_star)) if w_star is not None else None
@@ -219,11 +209,11 @@ def run(config: ExperimentConfig, rep: int = 0) -> list[RoundMetrics]:
         codec_rng = _round_rng(codec.kind == "randk", comp_seed, (t,))
         keep = compression.keep_mask(codec, (m, d), codec_rng)
         uploads = local(w, keep)
-        byz = adversary.select_byzantine(m, alpha, True, t, adv_seed) if dynamic else static_byz
+        byz = byzantine_set((1 + t,)) if dynamic else static_byz
         adv_rng = _round_rng(config.attack.kind == "gaussian_noise", adv_seed, (t, 1))
         vectors, bytes_up = _uplink(codec, uploads, keep, config.attack, byz, adv_rng, codec_rng)
         agg_vec = aggregation.aggregate(rule, vectors)
-        w_next = project(w - eta * agg_vec, space)
+        w_next = project(w - eta * agg_vec, config.space_radius)
         if not np.all(np.isfinite(w_next)):
             raise NonFiniteState(t)
         metrics.append(snapshot(t + 1, bytes_up, float(np.linalg.norm(agg_vec)), w_next))

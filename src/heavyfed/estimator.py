@@ -162,14 +162,11 @@ def smoothed_truncate(a, b):
 
     tiny = b < _B_TINY * (SQRT2 + r)
     extreme = (r + b > _CLOSED_FORM_LIMIT) & ~tiny
-    if not (tiny.any() or extreme.any()):
-        out = _closed_form(r, b)
-    else:
-        out = np.empty(a.shape, dtype=float)
-        closed = ~tiny & ~extreme
-        out[tiny] = soft_truncate(r[tiny])
-        out[closed] = _closed_form(r[closed], b[closed])
-        out[extreme] = _smoothed_by_quadrature(r[extreme], b[extreme])
+    closed = ~tiny & ~extreme
+    out = np.empty(a.shape, dtype=float)
+    out[tiny] = soft_truncate(r[tiny])
+    out[closed] = _closed_form(r[closed], b[closed])
+    out[extreme] = _smoothed_by_quadrature(r[extreme], b[extreme])
     np.clip(out, 0.0, TRUNCATION_CAP, out=out)
     np.copysign(out, a, out=out)
     return float(out[0]) if scalar else out

@@ -130,6 +130,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunSummary:
 
 def sweep(config: ExperimentConfig, axis: str, values, out_dir=None) -> list[RunSummary]:
     """One summary per axis value, all other fields fixed; combined CSV output."""
+    configs = [apply_axis(config, axis, value) for value in values]  # a bad value writes nothing
     out = Path(out_dir if out_dir is not None else config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     summaries = []
@@ -137,8 +138,7 @@ def sweep(config: ExperimentConfig, axis: str, values, out_dir=None) -> list[Run
         writer = csv.writer(csv_fh)
         writer.writerow([axis, *COLUMNS])
         with open(out / SUMMARY_FILE, "w", encoding="utf-8") as sum_fh:
-            for value in values:
-                cfg = apply_axis(config, axis, value)
+            for value, cfg in zip(values, configs):
                 runs, summary = run_repetitions(cfg)
                 summary.axis = axis
                 summary.axis_value = value

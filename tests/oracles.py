@@ -15,6 +15,7 @@ import mpmath
 import numpy as np
 
 from heavyfed import Dataset, EstimatorParams, LossModel, encode, robust_gradient, soft_truncate
+from heavyfed.compression import keep_mask
 
 GRID_A = (-3.0, -1.0, -0.5, 0.0, 0.5, 1.0, 3.0)
 GRID_B = (0.0, 0.1, 0.5, 1.0, 5.0)
@@ -77,7 +78,7 @@ def effective_delta(spec, x, rng=None):
     """
     x = np.asarray(x, dtype=float)
     rows = x.reshape(1, -1) if x.ndim == 1 else x
-    wire, _ = encode(spec, rows, rng)
+    wire, _ = encode(spec, rows, mask=keep_mask(spec, rows.shape, rng))
     err = wire - rows
     energy = np.sum(rows * rows, axis=1)
     lost = np.divide(np.sum(err * err, axis=1), energy, out=np.zeros_like(energy), where=energy != 0.0)

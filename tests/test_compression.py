@@ -47,7 +47,8 @@ def encode_rows(spec, U, rng=None):
 
 
 def encode_one(spec, x, rng=None):
-    wire, kept = encode(spec, np.asarray(x, dtype=float)[None, :], rng)
+    rows = np.asarray(x, dtype=float)[None, :]
+    wire, kept = encode(spec, rows, mask=keep_mask(spec, rows.shape, rng))
     return wire[0], int(kept[0])
 
 
@@ -109,7 +110,7 @@ class TestEncodeMatchesPerRow:
     def test_randk_keeps_exactly_the_drawn_mask_unscaled(self):
         U = heavy_vectors(12, 30, seed=12)
         spec = CompressorSpec(kind="randk", p=0.3)
-        wire, kept = encode(spec, U, rng=np.random.default_rng(3))
+        wire, kept = encode(spec, U, mask=keep_mask(spec, U.shape, np.random.default_rng(3)))
         mask = np.random.default_rng(3).random(U.shape) < spec.p
         assert_same_bits(wire, np.where(mask, U, 0.0))
         assert np.array_equal(kept, mask.sum(axis=1))
@@ -195,14 +196,15 @@ class TestL1Quant:
 
 class TestRandK:
     def test_requires_rng(self):
+        # the codec draws nothing: random-k codes only with a keep_mask drawn from a stream
         with pytest.raises(InvalidConfig):
-            encode_one(CompressorSpec(kind="randk", p=0.5), np.ones(4))
+            encode(CompressorSpec(kind="randk", p=0.5), np.ones((1, 4)))
 
     def test_deterministic_given_seed(self):
         U = np.random.default_rng(4).standard_normal((3, 40))
         spec = CompressorSpec(kind="randk", p=0.3)
-        a, _ = encode(spec, U, rng=np.random.default_rng(99))
-        b, _ = encode(spec, U, rng=np.random.default_rng(99))
+        a, _ = encode(spec, U, mask=keep_mask(spec, U.shape, np.random.default_rng(99)))
+        b, _ = encode(spec, U, mask=keep_mask(spec, U.shape, np.random.default_rng(99)))
         assert np.array_equal(a, b)
 
     def test_kept_coordinates_unscaled(self):
@@ -211,15 +213,6 @@ class TestRandK:
         nonzero = wire != 0.0
         assert np.array_equal(wire[nonzero], x[nonzero])
         assert kept == np.count_nonzero(nonzero)
-
-    def test_mask_drawn_ahead_codes_like_the_one_encode_draws(self):
-        U = np.random.default_rng(4).standard_normal((3, 40))
-        spec = CompressorSpec(kind="randk", p=0.3)
-        mask = keep_mask(spec, U.shape, np.random.default_rng(99))
-        ahead, kept_ahead = encode(spec, U, mask=mask)
-        drawn, kept = encode(spec, U, rng=np.random.default_rng(99))
-        assert ahead.tobytes() == drawn.tobytes()
-        assert np.array_equal(kept_ahead, kept) and np.array_equal(kept, mask.sum(axis=1))
 
     def test_keep_mask_only_for_randk(self):
         for spec in (CompressorSpec(), CompressorSpec(kind="topk", k=2), CompressorSpec(kind="l1")):
@@ -272,7 +265,7 @@ class TestBytes:
         # p = 1 keeps every coordinate: zeros in the input are sent and paid for
         spec = CompressorSpec(kind="randk", p=1.0)
         U = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
-        wire, kept = encode(spec, U, rng=np.random.default_rng(0))
+        wire, kept = encode(spec, U, mask=keep_mask(spec, U.shape, np.random.default_rng(0)))
         assert np.count_nonzero(wire) == 1
         assert np.array_equal(kept, [3, 3])
         assert nominal_bytes(spec, kept) == 12 * 6
@@ -334,7 +327,7 @@ class TestValidation:
     @pytest.mark.parametrize("kind", ["identity", "topk", "randk", "l1"])
     def test_non_2d_or_empty_input(self, shape, kind):
         with pytest.raises(DimensionMismatch):
-            encode(CompressorSpec(kind=kind), np.zeros(shape), rng=np.random.default_rng(0))
+            encode(CompressorSpec(kind=kind), np.zeros(shape))
 
     def test_non_vector_input(self):
         # effective_delta takes a vector or an (m, d) array, nothing else

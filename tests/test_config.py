@@ -332,6 +332,9 @@ _UNREAD = {
     "estimator.diameter": (_MANUAL, {"estimator.diameter": 5.0}),
     "estimator.lipschitz": ({"experiment.algorithm": "baseline"}, {"estimator.lipschitz": 2.0}),
     "estimator.s": ({"experiment.algorithm": "baseline"}, _MANUAL),
+    "model.hidden": ({}, {"model.hidden": 3}),
+    "model.objective": ({}, {"model.objective": "logistic"}),
+    "experiment.smoothness": ({"experiment.eta": 0.05}, {"experiment.smoothness": 40.0}),
 }
 
 
@@ -341,7 +344,7 @@ class TestUnreadKeys:
         for algorithm in ALGORITHMS:
             for kind in AGGREGATOR_KINDS:
                 for codec in COMPRESSOR_KINDS:
-                    for manual in ({}, _MANUAL):
+                    for manual in ({}, _MANUAL, {"experiment.eta": 0.05}):
                         overrides = {"experiment.algorithm": algorithm, "aggregator.kind": kind, "compressor.kind": codec}
                         unread |= set(_ignored(make_config({**overrides, **manual})))
         assert unread == {key for _, change in _UNREAD.values() for key in change}

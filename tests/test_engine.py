@@ -7,7 +7,6 @@ import pytest
 from heavyfed import (
     InvalidConfig,
     NonFiniteState,
-    ParamSpace,
     build_data,
     estimate_smoothness,
     make_config,
@@ -42,27 +41,32 @@ def tiny_config(**overrides):
 
 class TestProject:
     def test_interior_point_unchanged(self):
-        space = ParamSpace(np.zeros(3), 5.0)
         w = np.array([1.0, 2.0, 0.0])
-        assert np.array_equal(project(w, space), w)
+        assert np.array_equal(project(w, 5.0), w)
+        assert np.array_equal(project(np.array([3.0, 4.0]), 5.0), [3.0, 4.0])  # on the sphere
 
     def test_exterior_point_lands_on_boundary(self):
-        center = np.array([1.0, 1.0])
-        space = ParamSpace(center, 2.0)
-        w = center + np.array([4.0, 0.0])
-        assert np.allclose(project(w, space), center + np.array([2.0, 0.0]))
+        assert np.allclose(project(np.array([-4.0, 0.0]), 2.0), [-2.0, 0.0])
+        out = project(np.array([6.0, 8.0]), 5.0)
+        assert np.allclose(out, [3.0, 4.0]) and np.linalg.norm(out) == pytest.approx(5.0)
 
     def test_output_always_feasible(self):
         rng = np.random.default_rng(0)
-        space = ParamSpace(rng.standard_normal(4), 3.0)
         for _ in range(200):
             w = rng.standard_normal(4) * 50.0
-            out = project(w, space)
-            assert np.linalg.norm(out - space.center) <= space.radius + 1e-12
+            out = project(w, 3.0)
+            assert np.linalg.norm(out) <= 3.0 + 1e-12
+            # the projection keeps the direction
+            assert np.allclose(out / np.linalg.norm(out), w / np.linalg.norm(w))
+
+    def test_non_finite_input_passes_through(self):
+        w = np.array([np.inf, 1.0])
+        assert project(w, 1.0) is w
 
     def test_invalid_space(self):
-        with pytest.raises(InvalidConfig):
-            ParamSpace(np.zeros(2), 0.0)
+        for radius in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(InvalidConfig):
+                project(np.zeros(2), radius)
 
 
 class TestRobustRun:
@@ -261,7 +265,46 @@ class TestLocalStage:
             assert calls == []
 
 
+def byzantine_sets(**overrides):
+    """The Byzantine set ``corrupt`` receives in each round of one run."""
+    from heavyfed import adversary
+
+    sets = []
+    original = adversary.corrupt
+
+    def recording(attack, uploads, byz, rng):
+        sets.append(byz)
+        return original(attack, uploads, byz, rng)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(adversary, "corrupt", recording)
+        run(tiny_config(**{
+            "experiment.rounds": 20,
+            "data.devices": 10,
+            "data.samples_per_device": 20,
+            "attack.kind": "sign_flip",
+            "attack.alpha": 0.3,
+            **overrides,
+        }))
+    return sets
+
+
 class TestByzantineSets:
+    def test_static_set_is_identical_every_round(self):
+        sets = byzantine_sets()
+        assert len(sets) == 20 and len(set(sets)) == 1
+        assert len(sets[0]) == 3 and all(0 <= i < 10 for i in sets[0])
+
+    def test_dynamic_set_varies_and_is_deterministic(self):
+        a = byzantine_sets(**{"attack.dynamic": True})
+        assert a == byzantine_sets(**{"attack.dynamic": True})
+        assert len(set(a)) > 1 and all(len(byz) == 3 for byz in a)
+
+    def test_different_seeds_differ(self):
+        a = byzantine_sets(**{"attack.dynamic": True, "experiment.seed_adversary": 5})
+        b = byzantine_sets(**{"attack.dynamic": True, "experiment.seed_adversary": 6})
+        assert a != b
+
     @pytest.mark.parametrize("dynamic, draws", [(False, 1), (True, 6)])
     def test_static_set_is_drawn_once_per_run(self, monkeypatch, dynamic, draws):
         from heavyfed import adversary
@@ -410,9 +453,9 @@ class TestCompressedRun:
             drawn.append(original_mask(spec, shape, rng))
             return drawn[-1]
 
-        def recording(spec, uploads, rng=None, mask=None):
+        def recording(spec, uploads, mask=None):
             coded.append(mask)
-            return original_encode(spec, uploads, rng, mask)
+            return original_encode(spec, uploads, mask)
 
         monkeypatch.setattr(compression, "keep_mask", drawing)
         monkeypatch.setattr(compression, "encode", recording)
@@ -429,11 +472,10 @@ class TestCompressedRun:
         rngs = [rng for _, rng in calls]
         assert all(rngs[i] is rngs[i + 1] for i in (0, 2, 4))
         assert len({id(rng) for rng in rngs[::2]}) == 3
-        # the honest uploads are coded with the round's first mask; the
-        # Byzantine re-encode draws its own
-        assert len(coded) == 6
-        assert all(used is mask for used, mask in zip(coded[::2], drawn[::2]))
-        assert coded[1::2] == [None] * 3
+        # the codec draws nothing: the honest uploads are coded with the round's
+        # first mask, the Byzantine re-encode with its second
+        assert len(coded) == len(drawn) == 6
+        assert all(used is mask for used, mask in zip(coded, drawn))
 
     @pytest.mark.parametrize("kind", ["randk", "topk", "l1", "identity"])
     def test_estimator_kernel_sees_only_the_kept_entries(self, monkeypatch, kind):
@@ -483,9 +525,9 @@ class TestPresetStages:
             rules.append(spec)
             return original_aggregate(spec, vectors)
 
-        def encoding(spec, uploads, rng=None, mask=None):
+        def encoding(spec, uploads, mask=None):
             codecs.append(spec)
-            return original_encode(spec, uploads, rng, mask)
+            return original_encode(spec, uploads, mask)
 
         monkeypatch.setattr(aggregation, "aggregate", aggregating)
         monkeypatch.setattr(compression, "encode", encoding)

@@ -182,13 +182,18 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "table, names",
-        [("a,b\n1,2\n", "label column 'y'"), ("a,y\n1,2\n3,oops\n", "row 3, column 'y'")],
-        ids=["missing_column", "non_numeric_cell"],
+        [
+            ("a,b\n1,2\n", "label column 'y'"),
+            ("a,y\n1,2\n3,oops\n", "row 3, column 'y'"),
+            (None, "data.csv: cannot open: No such file or directory"),
+        ],
+        ids=["missing_column", "non_numeric_cell", "missing_file"],
     )
     def test_run_reports_a_data_error_in_one_line(self, tmp_path, capsys, table, names):
         # validate does not read the data, so the error first shows at run time
         data = tmp_path / "data.csv"
-        data.write_text(table, encoding="utf-8")
+        if table is not None:
+            data.write_text(table, encoding="utf-8")
         path = tmp_path / "csv.ini"
         path.write_text(
             "[experiment]\nrounds = 2\nrepetitions = 1\n"
@@ -214,6 +219,13 @@ class TestCli:
         path = self.write_config(tmp_path)
         assert main(["sweep", str(path), "--axis", "N", "--values", "1001"]) == 1
         assert "divisible" in capsys.readouterr().err
+
+    def test_sweep_checks_every_value_before_its_first_run(self, tmp_path, capsys):
+        path = self.write_config(tmp_path)
+        out_dir = tmp_path / "sweep"
+        assert main(["sweep", str(path), "--axis", "m", "--values", "4,33", "--out", str(out_dir)]) == 1
+        assert "N=100 is not divisible by m=33" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_all_diverged_exit_code(self, tmp_path, capsys):
         # baseline mean under an overflowing attack diverges in every repetition
