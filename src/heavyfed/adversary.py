@@ -14,20 +14,14 @@ import numpy as np
 
 from .errors import InvalidConfig
 
-_DEFAULT_STRENGTH = {
+DEFAULT_STRENGTH = {
     "none": 0.0,
     "sign_flip": 5.0,       # flip-and-scale factor on the good mean
     "large_value": 100.0,   # magnitude of the all-ones upload
     "gaussian_noise": 1.0,  # noise standard deviation
     "mean_shift": 1.0,      # shift in units of the good coordinate-wise std
 }
-ATTACK_KINDS = tuple(_DEFAULT_STRENGTH)
-
-
-def default_strength(kind: str) -> float:
-    if kind not in ATTACK_KINDS:
-        raise InvalidConfig(f"unknown attack kind {kind!r}")
-    return _DEFAULT_STRENGTH[kind]
+ATTACK_KINDS = tuple(DEFAULT_STRENGTH)
 
 
 @dataclass(frozen=True)

@@ -58,11 +58,8 @@ def main(argv=None) -> int:
         else:
             values = _parse_values(args.axis, args.values)
             summaries = sweep(config, args.axis, values, args.out)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except HeavyFedError as exc:  # raised loading or splitting the data at run time
-        print(f"error: {exc}", file=sys.stderr)
+    except HeavyFedError as exc:  # a ConfigError, or a data error raised loading or splitting the data
+        print(f"{'config error' if isinstance(exc, ConfigError) else 'error'}: {exc}", file=sys.stderr)
         return 1
     if all(not s.completed for s in summaries):
         print("all repetitions diverged", file=sys.stderr)

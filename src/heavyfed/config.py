@@ -18,10 +18,10 @@ from itertools import groupby
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from .adversary import ATTACK_KINDS, AttackSpec, byzantine_count, default_strength
+from .adversary import ATTACK_KINDS, DEFAULT_STRENGTH, AttackSpec, byzantine_count
 from .aggregation import AGGREGATOR_KINDS, RULES, AggregatorSpec, max_f, max_trim, trim_count
 from .compression import COMPRESSOR_KINDS, COMPRESSOR_READS, CompressorSpec
-from .datagen import NOISE_KINDS, NoiseSpec
+from .datagen import NOISE_KINDS, NOISE_READS, NoiseSpec
 from .errors import ConfigError, InvalidConfig
 from .estimator import EstimatorParams, default_params
 from .losses import MLP_OBJECTIVES, MODEL_KINDS
@@ -333,7 +333,7 @@ def _resolve(raw: dict) -> ExperimentConfig:
         "attack",
         AttackSpec,
         kind=attack_kind,
-        strength=default_strength(attack_kind) if strength is None else strength,
+        strength=DEFAULT_STRENGTH[attack_kind] if strength is None else strength,
         alpha=value["attack.alpha"],
         dynamic=value["attack.dynamic"],
     )
@@ -375,8 +375,8 @@ def _unread(section, reads) -> list:
 
 
 def _ignored(config: ExperimentConfig) -> list:
-    """Keys the run does not read, from what the preset, the rule, the codec
-    and the estimator schedule declare."""
+    """Keys the run does not read, from what the preset, the rule, the codec,
+    the noise and the estimator schedule declare."""
     preset = config.preset
     keys = _unread("aggregator", RULES[config.aggregator.kind].reads)
     keys += _unread("compressor", COMPRESSOR_READS[config.compressor.kind])
@@ -389,7 +389,9 @@ def _ignored(config: ExperimentConfig) -> list:
     elif not _derives_schedule(preset, config.manual_schedule):
         keys += _unread("estimator", [f.name for f in fields(EstimatorParams)])
     keys += ["model.hidden", "model.objective"] if config.model_kind != "mlp" else []
+    keys += [f"data.noise_{name}" for kind, reads in NOISE_READS.items() if kind != config.noise.kind for name in reads]
     keys += ["experiment.smoothness"] if config.eta is not None else []  # only an auto eta reads it
+    keys += ["experiment.seed_init"] if config.w0 == "origin" else []  # only a random w0 draws from it
     return keys
 
 
@@ -497,12 +499,10 @@ def apply_axis(config: ExperimentConfig, axis: str, value) -> ExperimentConfig:
         kind, _, param = _stringify(value).partition(":")
         raw["compressor.kind"] = kind
         if param:
-            if kind == "topk":
-                raw["compressor.k"] = param
-            elif kind == "randk":
-                raw["compressor.p"] = param
-            else:
+            reads = COMPRESSOR_READS.get(kind)
+            if not reads:
                 _fail("sweep.compressor", f"{kind} takes no parameter, got {param!r}")
+            raw[f"compressor.{reads[0]}"] = param
     else:
         _fail("sweep.axis", f"unknown axis {axis!r}")
     return _build(raw)

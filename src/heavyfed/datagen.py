@@ -16,7 +16,9 @@ import numpy as np
 from .errors import IndivisibleSplit, InvalidConfig, MissingColumn, ParseError
 from .losses import Dataset
 
-NOISE_KINDS = ("lognormal", "pareto")
+# Each kind and the NoiseSpec fields it reads.
+NOISE_READS = {"lognormal": ("mu", "sigma"), "pareto": ("scale", "shape")}
+NOISE_KINDS = tuple(NOISE_READS)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,9 @@
-"""Heavy-tail-robust mean estimation for scalars and per-sample gradients.
+"""Heavy-tail-robust mean estimation of per-sample gradients.
 
-The scalar estimator rescales each sample, pushes it through a bounded odd
-truncation curve, and replaces the truncated value by its expectation under
-multiplicative Gaussian noise, for which a closed form exists.  Applied
-coordinate-wise to per-sample loss gradients it gives each device a local
+Coordinate by coordinate, the estimator rescales each sample, pushes it
+through a bounded odd truncation curve, and replaces the truncated value by
+its expectation under multiplicative Gaussian noise, for which a closed form
+exists.  Applied to per-sample loss gradients it gives each device a local
 gradient estimate whose error concentrates even when the data admits only a
 coordinate-wise bounded second raw moment.
 
@@ -187,25 +187,12 @@ class EstimatorParams:
                 raise InvalidConfig(f"estimator parameter {name} must be finite and > 0, got {value}")
         _line_table(self.tau)
 
-    @classmethod
-    def from_log_inv_zeta(cls, log_inv_zeta: float, n: int, v: float) -> "EstimatorParams":
-        """Standard schedule s = sqrt(n*v / (2 ln(1/zeta))), tau = sqrt(2 ln(1/zeta))
-        for ``log_inv_zeta`` = ln(1/zeta), as scheduled confidence levels zeta
-        underflow double precision once the model dimension is moderate."""
-        if not math.isfinite(log_inv_zeta) or log_inv_zeta <= 0.0:
-            raise InvalidConfig(f"log_inv_zeta must be finite and > 0, got {log_inv_zeta}")
-        if n < 1:
-            raise InvalidConfig(f"sample count n must be >= 1, got {n}")
-        if v <= 0.0:
-            raise InvalidConfig(f"moment bound v must be > 0, got {v}")
-        return cls(s=math.sqrt(n * v / (2.0 * log_inv_zeta)), tau=math.sqrt(2.0 * log_inv_zeta))
-
 
 def default_params(n, m, d, v, diameter, lipschitz, variant="plain"):
-    """Confidence schedule tied to system size.
+    """Confidence schedule s = sqrt(n v / (2 ln(1/zeta))), tau = sqrt(2 ln(1/zeta)).
 
-    ``variant="plain"`` is the schedule for the coordinate-wise trimmed
-    aggregation loop; ``variant="compressed"`` the one for the norm-based
+    ``variant="plain"`` ties zeta to system size for the coordinate-wise
+    trimmed aggregation loop; ``variant="compressed"`` for the norm-based
     loop.  ``ln(1/zeta)`` is assembled directly in log space: the product
     form underflows double precision for moderate ``d``.
 
@@ -239,7 +226,7 @@ def default_params(n, m, d, v, diameter, lipschitz, variant="plain"):
         raise InvalidConfig(f"unknown schedule variant {variant!r}")
     if log_inv_zeta <= 0.0:
         raise InvalidConfig("schedule yields a confidence level >= 1; increase diameter, n or lipschitz")
-    return EstimatorParams.from_log_inv_zeta(log_inv_zeta, n, v)
+    return EstimatorParams(s=math.sqrt(n * v / (2.0 * log_inv_zeta)), tau=math.sqrt(2.0 * log_inv_zeta))
 
 
 def _chebyshev_points(n):

@@ -1,14 +1,16 @@
 """Repetition runner: seeded runs, summary statistics, file outputs.
 
-``run_experiment`` executes the configured repetitions (rep r runs with
-per-repetition base seed ``seed XOR r``), writes one per-round CSV and one
-JSON-lines summary record, and returns the summary.  ``sweep`` repeats that
-for each value of one axis into a combined CSV.  CSV bytes are reproducible:
-floats are written with ``repr`` (shortest round-trip form).
+Rep r of a config runs with base seed ``seed XOR r``.  One writer serves
+``run_experiment``, one config, and ``sweep``, one config per value of one
+axis: it runs each config, then appends its rows to ``rounds.csv`` and its
+record to ``summary.json-lines``.  It makes the directory and both files
+only once the first config has run, so a data error there leaves nothing
+behind.  Floats are written with ``repr``, so CSV bytes are reproducible.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import time
@@ -101,48 +103,35 @@ def _format(value) -> str:
     return repr(float(value))
 
 
-def write_rounds_csv(path, runs):
-    """RFC-4180-style CSV, one row of ``COLUMNS`` per round of each completed run."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(COLUMNS)
-        _append_rows(writer, runs)
-
-
-def _append_rows(writer, runs, head=()):
-    for rep, stream in enumerate(runs):
-        if stream is None:
-            continue
-        for rm in stream:
-            writer.writerow([*head, rep, rm.round_index, _format(rm.test_loss), _format(rm.param_err), rm.bytes_up])
+def _write(config, out_dir, points, axis=None) -> list[RunSummary]:
+    """Run each ``(axis value, config)`` point, appending to the files in
+    ``out_dir`` (default ``config.out_dir``); ``axis`` leads the CSV columns."""
+    summaries = []
+    with contextlib.ExitStack() as files:
+        for value, point in points:
+            runs, summary = run_repetitions(point)
+            if not summaries:  # the first point ran, so its data loaded
+                out = Path(config.out_dir if out_dir is None else out_dir)
+                out.mkdir(parents=True, exist_ok=True)
+                rows = csv.writer(files.enter_context(open(out / ROUNDS_CSV, "w", newline="", encoding="utf-8")))
+                records = files.enter_context(open(out / SUMMARY_FILE, "w", encoding="utf-8"))
+                rows.writerow(COLUMNS if axis is None else (axis, *COLUMNS))
+            head = () if axis is None else (str(value),)
+            for rep, stream in enumerate(runs):
+                for rm in stream or ():
+                    rows.writerow([*head, rep, rm.round_index, _format(rm.test_loss), _format(rm.param_err), rm.bytes_up])
+            summary.axis, summary.axis_value = axis, value
+            records.write(json.dumps(summary.record(), sort_keys=True) + "\n")
+            summaries.append(summary)
+    return summaries
 
 
 def run_experiment(config: ExperimentConfig, out_dir=None) -> RunSummary:
     """Run all repetitions and emit rounds.csv plus summary.json-lines."""
-    out = Path(out_dir if out_dir is not None else config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    runs, summary = run_repetitions(config)
-    write_rounds_csv(out / ROUNDS_CSV, runs)
-    with open(out / SUMMARY_FILE, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(summary.record(), sort_keys=True) + "\n")
-    return summary
+    return _write(config, out_dir, [(None, config)])[0]
 
 
 def sweep(config: ExperimentConfig, axis: str, values, out_dir=None) -> list[RunSummary]:
     """One summary per axis value, all other fields fixed; combined CSV output."""
     configs = [apply_axis(config, axis, value) for value in values]  # a bad value writes nothing
-    out = Path(out_dir if out_dir is not None else config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    summaries = []
-    with open(out / ROUNDS_CSV, "w", newline="", encoding="utf-8") as csv_fh:
-        writer = csv.writer(csv_fh)
-        writer.writerow([axis, *COLUMNS])
-        with open(out / SUMMARY_FILE, "w", encoding="utf-8") as sum_fh:
-            for value, cfg in zip(values, configs):
-                runs, summary = run_repetitions(cfg)
-                summary.axis = axis
-                summary.axis_value = value
-                _append_rows(writer, runs, head=(str(value),))
-                sum_fh.write(json.dumps(summary.record(), sort_keys=True) + "\n")
-                summaries.append(summary)
-    return summaries
+    return _write(config, out_dir, zip(values, configs), axis)

@@ -57,6 +57,13 @@ def exact_smoothed(a, b):
         return float(cap * (mpmath.ncdf(-hi) - mpmath.ncdf(lo)) + window)
 
 
+def schedule(zeta, n, v):
+    """The paper's schedule at confidence level zeta: s = sqrt(n v / (2 ln(1/zeta))),
+    tau = sqrt(2 ln(1/zeta))."""
+    log_inv_zeta = -math.log(zeta)
+    return EstimatorParams(s=math.sqrt(n * v / (2.0 * log_inv_zeta)), tau=math.sqrt(2.0 * log_inv_zeta))
+
+
 def robust_mean(samples, params: EstimatorParams):
     """The estimator's robust mean of each row of ``samples``, through
     ``robust_gradient``: a one-feature linear model at w = 0 with x = 1 and
@@ -89,7 +96,7 @@ def effective_delta(spec, x, rng=None):
 def concentration_failures(trials=1000, n=100, v=0.5, zeta=0.01, sigma=0.55848, seed=7):
     """Fraction of trials where the estimate of a centered log-normal mean
     escapes the theoretical deviation bound sqrt(2 v ln(1/zeta) / n) + sqrt(v / n)."""
-    params = EstimatorParams.from_log_inv_zeta(-math.log(zeta), n, v)
+    params = schedule(zeta, n, v)
     bound = math.sqrt(2.0 * v * math.log(1.0 / zeta) / n) + math.sqrt(v / n)
     rng = np.random.default_rng(seed)
     samples = rng.lognormal(0.0, sigma, size=(trials, n)) - math.exp(sigma * sigma / 2.0)
@@ -99,7 +106,7 @@ def concentration_failures(trials=1000, n=100, v=0.5, zeta=0.01, sigma=0.55848, 
 def continuity_worst_ratio(pairs=1000, n=50, seed=11):
     """Worst observed |est(X) - est(X')| / ((c/n) * sum |x - x'|) over random
     perturbation pairs, for the scheduled constant c = continuity_constant(tau)."""
-    params = EstimatorParams.from_log_inv_zeta(-math.log(0.01), n, 0.5)
+    params = schedule(0.01, n, 0.5)
     c = continuity_constant(params.tau)
     rng = np.random.default_rng(seed)
     xs, ys = [], []

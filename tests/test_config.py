@@ -335,6 +335,11 @@ _UNREAD = {
     "model.hidden": ({}, {"model.hidden": 3}),
     "model.objective": ({}, {"model.objective": "logistic"}),
     "experiment.smoothness": ({"experiment.eta": 0.05}, {"experiment.smoothness": 40.0}),
+    "experiment.seed_init": ({}, {"experiment.seed_init": 5}),
+    "data.noise_scale": ({}, {"data.noise_scale": 2.0}),
+    "data.noise_shape": ({}, {"data.noise_shape": 4.0}),
+    "data.noise_mu": ({"data.noise": "pareto"}, {"data.noise_mu": 0.3}),
+    "data.noise_sigma": ({"data.noise": "pareto"}, {"data.noise_sigma": 0.4}),
 }
 
 
@@ -344,7 +349,7 @@ class TestUnreadKeys:
         for algorithm in ALGORITHMS:
             for kind in AGGREGATOR_KINDS:
                 for codec in COMPRESSOR_KINDS:
-                    for manual in ({}, _MANUAL, {"experiment.eta": 0.05}):
+                    for manual in ({}, _MANUAL, {"experiment.eta": 0.05}, {"data.noise": "pareto"}):
                         overrides = {"experiment.algorithm": algorithm, "aggregator.kind": kind, "compressor.kind": codec}
                         unread |= set(_ignored(make_config({**overrides, **manual})))
         assert unread == {key for _, change in _UNREAD.values() for key in change}

@@ -33,6 +33,7 @@ from oracles import (
     exact_smoothed,
     mc_smoothed,
     robust_mean,
+    schedule,
     stacked_shards,
 )
 
@@ -396,8 +397,8 @@ class TestSchedules:
             EstimatorParams(s=0.0, tau=1.0)
         with pytest.raises(InvalidConfig):
             EstimatorParams(s=1.0, tau=math.nan)
-        with pytest.raises(InvalidConfig):
-            EstimatorParams.from_log_inv_zeta(-math.log(1.5), 10, 1.0)
+        with pytest.raises(InvalidConfig, match="confidence level"):
+            default_params(n=1, m=1, d=1, v=1.0, diameter=0.1, lipschitz=1.0)
 
     @pytest.mark.parametrize("tau", [1e6, 1e200])
     def test_tau_without_a_table_is_refused(self, tau):
@@ -406,7 +407,7 @@ class TestSchedules:
             EstimatorParams(s=1.0, tau=tau)
 
     def test_from_zeta(self):
-        params = EstimatorParams.from_log_inv_zeta(-math.log(0.01), 100, 0.5)
+        params = schedule(0.01, 100, 0.5)
         assert params.s == pytest.approx(2.3299530089232805, abs=1e-12)
         assert params.tau == pytest.approx(3.034854258770293, abs=1e-12)
         assert math.exp(-params.tau**2 / 2) == pytest.approx(0.01, rel=1e-12)

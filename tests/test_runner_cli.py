@@ -203,10 +203,14 @@ class TestCli:
         )
         assert main(["validate", str(path)]) == 0
         capsys.readouterr()
-        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and names in err
-        assert err.count("\n") == 1 and "Traceback" not in err
+        # neither run nor a sweep whose first value fails leaves a directory behind
+        out = str(tmp_path / "out")
+        for command in (["run"], ["sweep", "--axis", "alpha", "--values", "0"]):
+            assert main([*command, str(path), "--out", out]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and names in err
+            assert err.count("\n") == 1 and "Traceback" not in err
+            assert not (tmp_path / "out").exists()
 
     def test_sweep_command(self, tmp_path, capsys):
         path = self.write_config(tmp_path, extra="[aggregator]\nbeta = 0.25\n")
