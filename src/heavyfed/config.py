@@ -13,7 +13,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from itertools import groupby
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -234,7 +234,7 @@ class ExperimentConfig:
     seed_adversary: int | None
     repetitions: int
     out_dir: str
-    raw: dict = field(repr=False, compare=False, default_factory=dict)
+    raw: dict = field(repr=False, compare=False, default_factory=dict)  # every key as given
 
     @property
     def preset(self) -> Preset:
@@ -392,15 +392,17 @@ def _ignored(config: ExperimentConfig) -> list:
     keys += [f"data.noise_{name}" for kind, reads in NOISE_READS.items() if kind != config.noise.kind for name in reads]
     keys += ["experiment.smoothness"] if config.eta is not None else []  # only an auto eta reads it
     keys += ["experiment.seed_init"] if config.w0 == "origin" else []  # only a random w0 draws from it
+    if byzantine_count(config.attack.alpha, config.devices) == 0:  # no device attacks
+        keys += ["attack.kind", *_unread("attack", ("alpha",))]
     return keys
 
 
 def _build(raw: dict) -> ExperimentConfig:
     """Resolve ``raw``.  A key the run does not read is still validated, then
-    resolved at its default, so the echo and the digest show it there."""
+    resolved at its default, as the echo and the digest show it; ``raw`` keeps it."""
     config = _resolve(raw)
     read = {**raw, **{key: KEYS[key].default for key in _ignored(config)}}
-    return config if read == raw else _resolve(read)
+    return config if read == raw else replace(_resolve(read), raw=dict(raw))
 
 
 def _stringify(value) -> str:
@@ -448,9 +450,10 @@ def parse_config(path) -> ExperimentConfig:
 
 
 def echo_config(config: ExperimentConfig) -> str:
-    """Normalized listing of every key with resolved values."""
+    """Normalized listing of every key with resolved values, unread keys at their defaults."""
     resolved = {
         **config.raw,
+        **{key: KEYS[key].default for key in _ignored(config)},
         "aggregator.beta": repr(config.aggregator.beta),
         "aggregator.f": str(config.aggregator.f),
         "attack.strength": repr(config.attack.strength),
@@ -471,38 +474,46 @@ def config_digest(config: ExperimentConfig) -> str:
     return hashlib.sha256(echo_config(config).encode("utf-8")).hexdigest()[:16]
 
 
-AXES = ("alpha", "N", "m", "sigma_x", "compressor")
+_ALIASES = {"alpha": "attack.alpha", "sigma_x": "data.feature_sigma"}  # axis names of two keys, and CSV headers
+
+
+def axis_value(axis: str, value):
+    """``value`` as sweep ``axis`` reads it: checked by the key's own parser, or a count for N and m."""
+    key, text = _ALIASES.get(axis, axis), _stringify(value)
+    if key in KEYS:  # a number as parsed; other values (auto, blank, a column list) as written
+        parsed = _parse(key, KEYS[key].parse, text)
+        return parsed if isinstance(parsed, (int, float)) else text
+    if axis in ("N", "m"):
+        return _parse(f"sweep.{axis}", _int(1), text)
+    if axis != "compressor":
+        _fail("sweep.axis", f"unknown axis {axis!r}")
+    return text
 
 
 def apply_axis(config: ExperimentConfig, axis: str, value) -> ExperimentConfig:
-    """Rebuild a config with one sweep axis (one of ``AXES``) changed; everything else fixed."""
-    raw = dict(config.raw)
-    if axis == "alpha":
-        raw["attack.alpha"] = _stringify(value)
-    elif axis == "sigma_x":
-        raw["data.feature_sigma"] = _stringify(value)
-    elif axis == "N":
-        total = _parse("sweep.N", _int(1), _stringify(value))
-        if total % config.devices:
-            _fail("sweep.N", f"N={total} is not divisible by devices={config.devices}")
-        raw["data.samples_per_device"] = str(total // config.devices)
+    """The keys ``config`` was built from, one axis set to ``value``: a key or an alias, or N (total
+    samples, devices fixed), m (devices, total samples fixed) or compressor (``kind[:param]``)."""
+    parsed, raw = axis_value(axis, value), dict(config.raw)
+    if axis == "N":
+        if parsed % config.devices:
+            _fail("sweep.N", f"N={parsed} is not divisible by devices={config.devices}")
+        raw["data.samples_per_device"] = str(parsed // config.devices)
     elif axis == "m":
-        m_new = _parse("sweep.m", _int(1), _stringify(value))
         total = config.devices * config.samples_per_device
-        if total % m_new:
-            _fail("sweep.m", f"N={total} is not divisible by m={m_new}")
-        raw["data.devices"] = str(m_new)
-        raw["data.samples_per_device"] = str(total // m_new)
+        if total % parsed:
+            _fail("sweep.m", f"N={total} is not divisible by m={parsed}")
+        raw["data.devices"] = str(parsed)
+        raw["data.samples_per_device"] = str(total // parsed)
     elif axis == "compressor":
         if not config.preset.codec:
             _fail("sweep.compressor", f"{config.algorithm} sends dense uploads; it has no codec to sweep")
-        kind, _, param = _stringify(value).partition(":")
+        kind, _, param = parsed.partition(":")
         raw["compressor.kind"] = kind
         if param:
             reads = COMPRESSOR_READS.get(kind)
             if not reads:
                 _fail("sweep.compressor", f"{kind} takes no parameter, got {param!r}")
             raw[f"compressor.{reads[0]}"] = param
-    else:
-        _fail("sweep.axis", f"unknown axis {axis!r}")
+    else:  # as make_config writes the parsed value
+        raw[_ALIASES.get(axis, axis)] = _stringify(parsed)
     return _build(raw)

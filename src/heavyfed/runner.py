@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ExperimentConfig, apply_axis, config_digest
+from .config import ExperimentConfig, apply_axis, axis_value, config_digest
 from .engine import run
 from .errors import NonFiniteState
 
@@ -132,6 +132,6 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunSummary:
 
 
 def sweep(config: ExperimentConfig, axis: str, values, out_dir=None) -> list[RunSummary]:
-    """One summary per axis value, all other fields fixed; combined CSV output."""
-    configs = [apply_axis(config, axis, value) for value in values]  # a bad value writes nothing
-    return _write(config, out_dir, zip(values, configs), axis)
+    """One summary per axis value, as the axis reads it; all other keys fixed; combined CSV output."""
+    points = [(axis_value(axis, v), apply_axis(config, axis, v)) for v in values]  # a bad value writes nothing
+    return _write(config, out_dir, points, axis)

@@ -18,7 +18,7 @@ from heavyfed import (
 )
 from heavyfed.aggregation import AGGREGATOR_KINDS
 from heavyfed.compression import COMPRESSOR_KINDS
-from heavyfed.config import ALGORITHMS, KEYS, PRESETS, _ignored, _resolve
+from heavyfed.config import ALGORITHMS, KEYS, PRESETS, _ignored, _resolve, axis_value
 
 
 def write(tmp_path, text):
@@ -340,6 +340,9 @@ _UNREAD = {
     "data.noise_shape": ({}, {"data.noise_shape": 4.0}),
     "data.noise_mu": ({"data.noise": "pareto"}, {"data.noise_mu": 0.3}),
     "data.noise_sigma": ({"data.noise": "pareto"}, {"data.noise_sigma": 0.4}),
+    "attack.kind": ({}, {"attack.kind": "gaussian_noise"}),
+    "attack.strength": ({"attack.alpha": 0.05}, {"attack.strength": 2.0}),  # floor(0.05 * 10) = 0
+    "attack.dynamic": ({}, {"attack.dynamic": True}),
 }
 
 
@@ -364,7 +367,7 @@ class TestUnreadKeys:
         # and the run must still not read it; a kind the preset fixes is taken
         # from the preset by _resolve itself, so that config equals the plain one
         configs["carried"] = _resolve({**configs["plain"].raw, **{k: str(v) for k, v in change.items()}})
-        assert (configs["carried"] == configs["plain"]) == key.endswith(".kind")
+        assert (configs["carried"] == configs["plain"]) == (key in ("aggregator.kind", "compressor.kind"))
         for name, cfg in configs.items():
             run_experiment(cfg, tmp_path / name)
         assert len({(tmp_path / name / "rounds.csv").read_bytes() for name in configs}) == 1
@@ -423,7 +426,78 @@ class TestKeyTable:
         assert listed == [(key, row.default) for key, row in KEYS.items()]
 
 
+# Sweep points: base configs, and per axis a value and the keys a config file
+# would set to it.  The compressor axis needs the preset with a codec.
+_SWEEP_BASES = {
+    "default": {},
+    "compressed": {
+        "experiment.algorithm": "robust_compressed",
+        "aggregator.beta": 0.2,
+        "aggregator.kind": "krum",
+        "compressor.k": 3,
+        "compressor.p": 0.3,
+    },
+    "baseline": {
+        "experiment.algorithm": "baseline",
+        "aggregator.kind": "coord_median",
+        "attack.alpha": 0.05,
+        "attack.kind": "gaussian_noise",
+        "data.noise": "pareto",
+    },
+}
+_SWEEP_POINTS = [
+    ("experiment.algorithm", "baseline", {"experiment.algorithm": "baseline"}),
+    ("attack.kind", "large_value", {"attack.kind": "large_value"}),
+    ("data.noise_sigma", 1.5, {"data.noise_sigma": 1.5}),
+    ("aggregator.kind", "geo_median", {"aggregator.kind": "geo_median"}),
+    ("alpha", "0.20", {"attack.alpha": 0.2}),
+    ("sigma_x", 0.5, {"data.feature_sigma": 0.5}),
+    ("experiment.eta", "auto", {"experiment.eta": "auto"}),
+    ("N", 2000, {"data.samples_per_device": 200}),
+    ("m", 20, {"data.devices": 20, "data.samples_per_device": 50}),
+]
+_SWEEP_CASES = [(base, *point) for base in _SWEEP_BASES for point in _SWEEP_POINTS] + [
+    ("compressed", "compressor", "randk", {"compressor.kind": "randk"}),
+    ("compressed", "compressor", "topk:4", {"compressor.kind": "topk", "compressor.k": 4}),
+]
+
+
 class TestApplyAxis:
+    @pytest.mark.parametrize(
+        "base, axis, value, written", _SWEEP_CASES, ids=[f"{b}-{a}={v}" for b, a, v, _ in _SWEEP_CASES]
+    )
+    def test_a_point_is_the_config_with_the_value_written_in(self, base, axis, value, written):
+        point = apply_axis(make_config(_SWEEP_BASES[base]), axis, value)
+        written_in = make_config({**_SWEEP_BASES[base], **written})
+        assert point == written_in
+        assert config_digest(point) == config_digest(written_in)
+
+    @pytest.mark.parametrize(
+        "axis, value, read",
+        [
+            ("alpha", "0", 0.0),
+            ("m", "20", 20),
+            ("attack.dynamic", "yes", True),
+            ("experiment.eta", "auto", "auto"),
+            ("data.feature_columns", "a", "a"),
+            ("compressor", "topk:4", "topk:4"),
+        ],
+    )
+    def test_a_value_is_recorded_as_its_axis_reads_it(self, axis, value, read):
+        recorded = axis_value(axis, value)
+        assert (type(recorded), recorded) == (type(read), read)
+
+    def test_compressor_axis_keeps_the_parameters_the_identity_codec_left_unread(self):
+        cfg = make_config(_SWEEP_BASES["compressed"])
+        assert cfg.compressor.kind == "identity"
+        assert apply_axis(cfg, "compressor", "topk").compressor.k == 3
+        assert apply_axis(cfg, "compressor", "randk").compressor.p == 0.3
+
+    def test_m_axis_keeps_the_attack_of_a_config_with_no_byzantine_device(self):
+        cfg = make_config({"attack.alpha": 0.05, "attack.kind": "gaussian_noise"})  # floor(0.05 * 10) = 0
+        out = apply_axis(cfg, "m", 20)
+        assert (out.attack.kind, out.devices, out.samples_per_device) == ("gaussian_noise", 20, 50)
+
     def test_alpha_axis(self):
         cfg = make_config({"attack.alpha": 0.1})
         out = apply_axis(cfg, "alpha", 0.3)

@@ -129,6 +129,11 @@ class TestSweep:
         assert len(lines) == 2
         assert json.loads(lines[0])["axis"] == "alpha"
 
+    def test_an_auto_value_is_recorded_as_auto(self, tmp_path):
+        summaries = sweep(make_config(quick_overrides()), "experiment.eta", ["auto", 0.05], tmp_path)
+        assert [s.axis_value for s in summaries] == ["auto", 0.05]
+        assert {row[0] for row in read_csv(tmp_path / "rounds.csv")[1:]} == {"auto", "0.05"}
+
     def test_single_value_sweep_matches_run(self, tmp_path):
         cfg = make_config(quick_overrides())
         (summary,) = sweep(cfg, "alpha", [0.25], tmp_path / "s")
@@ -218,6 +223,33 @@ class TestCli:
         assert main(["sweep", str(path), "--axis", "alpha", "--values", "0.0,0.25", "--out", str(out_dir)]) == 0
         rows = read_csv(out_dir / "rounds.csv")
         assert rows[0][0] == "alpha"
+
+    def test_sweep_any_key(self, tmp_path, capsys):
+        path = self.write_config(tmp_path)
+        out_dir = tmp_path / "sweep"
+        command = ["sweep", str(path), "--axis", "data.noise", "--values", "lognormal,pareto", "--out", str(out_dir)]
+        assert main(command) == 0
+        rows = read_csv(out_dir / "rounds.csv")
+        assert rows[0] == ["data.noise", "rep", "round", "test_loss", "param_err", "bytes_up"]
+        assert [row[0] for row in rows[1:]] == ["lognormal"] * 10 + ["pareto"] * 10  # 2 reps of rounds 0-4
+
+    @pytest.mark.parametrize(
+        "axis, values, names",
+        [
+            ("m", "10.5", "sweep.m: expected an integer, got '10.5'"),
+            ("alpha", "0.1,x", "attack.alpha: expected a number, got 'x'"),
+            ("data.noise", "cauchy", "data.noise: must be one of"),
+            ("gamma", "1", "sweep.axis: unknown axis 'gamma'"),
+        ],
+        ids=["count", "alias", "key", "unknown_axis"],
+    )
+    def test_sweep_refuses_a_bad_value_or_axis_in_one_line(self, tmp_path, capsys, axis, values, names):
+        path = self.write_config(tmp_path)
+        out_dir = tmp_path / "sweep"
+        assert main(["sweep", str(path), "--axis", axis, "--values", values, "--out", str(out_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {names}") and err.count("\n") == 1
+        assert not out_dir.exists()
 
     def test_sweep_invalid_value(self, tmp_path, capsys):
         path = self.write_config(tmp_path)
