@@ -114,6 +114,14 @@ def _blank(parse):
     return lambda raw: None if raw == "" else parse(raw)
 
 
+# Each data source and the [data] keys it reads besides source, devices and
+# test_samples, which both read; synthetic data also reads its noise kind's NOISE_READS.
+SOURCE_READS = {
+    "synthetic": ("d", "samples_per_device", "feature_sigma", "noise"),
+    "csv": ("path", "label_column", "feature_columns", "standardize", "add_bias"),
+}
+
+
 class Key(NamedTuple):
     default: str  # as the file spells it
     parse: Callable[[str], object]
@@ -136,7 +144,7 @@ KEYS = {
     "model.kind": Key("linear", _enum(*MODEL_KINDS), "model_kind"),
     "model.hidden": Key("8", _int(1), "mlp_hidden"),
     "model.objective": Key("squared", _enum(*MLP_OBJECTIVES), "mlp_objective"),
-    "data.source": Key("synthetic", _enum("synthetic", "csv"), "source"),
+    "data.source": Key("synthetic", _enum(*SOURCE_READS), "source"),
     "data.d": Key("10", _int(1), "dimension"),
     "data.devices": Key("10", _int(1), "devices"),
     "data.samples_per_device": Key("100", _int(1), "samples_per_device"),
@@ -376,7 +384,7 @@ def _unread(section, reads) -> list:
 
 def _ignored(config: ExperimentConfig) -> list:
     """Keys the run does not read, from what the preset, the rule, the codec,
-    the noise and the estimator schedule declare."""
+    the data source, the noise and the estimator schedule declare."""
     preset = config.preset
     keys = _unread("aggregator", RULES[config.aggregator.kind].reads)
     keys += _unread("compressor", COMPRESSOR_READS[config.compressor.kind])
@@ -389,7 +397,8 @@ def _ignored(config: ExperimentConfig) -> list:
     elif not _derives_schedule(preset, config.manual_schedule):
         keys += _unread("estimator", [f.name for f in fields(EstimatorParams)])
     keys += ["model.hidden", "model.objective"] if config.model_kind != "mlp" else []
-    keys += [f"data.noise_{name}" for kind, reads in NOISE_READS.items() if kind != config.noise.kind for name in reads]
+    noise = [f"noise_{name}" for name in NOISE_READS[config.noise.kind]] if config.source == "synthetic" else []
+    keys += _unread("data", ("source", "devices", "test_samples", *SOURCE_READS[config.source], *noise))
     keys += ["experiment.smoothness"] if config.eta is not None else []  # only an auto eta reads it
     keys += ["experiment.seed_init"] if config.w0 == "origin" else []  # only a random w0 draws from it
     if byzantine_count(config.attack.alpha, config.devices) == 0:  # no device attacks
@@ -492,7 +501,8 @@ def axis_value(axis: str, value):
 
 def apply_axis(config: ExperimentConfig, axis: str, value) -> ExperimentConfig:
     """The keys ``config`` was built from, one axis set to ``value``: a key or an alias, or N (total
-    samples, devices fixed), m (devices, total samples fixed) or compressor (``kind[:param]``)."""
+    samples, devices fixed), m (devices, total samples fixed) or compressor (``kind[:param]``).
+    A point that does not read a key the axis changed is refused."""
     parsed, raw = axis_value(axis, value), dict(config.raw)
     if axis == "N":
         if parsed % config.devices:
@@ -505,8 +515,6 @@ def apply_axis(config: ExperimentConfig, axis: str, value) -> ExperimentConfig:
         raw["data.devices"] = str(parsed)
         raw["data.samples_per_device"] = str(total // parsed)
     elif axis == "compressor":
-        if not config.preset.codec:
-            _fail("sweep.compressor", f"{config.algorithm} sends dense uploads; it has no codec to sweep")
         kind, _, param = parsed.partition(":")
         raw["compressor.kind"] = kind
         if param:
@@ -516,4 +524,8 @@ def apply_axis(config: ExperimentConfig, axis: str, value) -> ExperimentConfig:
             raw[f"compressor.{reads[0]}"] = param
     else:  # as make_config writes the parsed value
         raw[_ALIASES.get(axis, axis)] = _stringify(parsed)
-    return _build(raw)
+    point = _build(raw)
+    unread = [key for key, text in raw.items() if text != config.raw[key] and key in _ignored(point)]
+    if unread:  # every value would run the same
+        _fail(f"sweep.{axis}", f"{axis}={value} sets {', '.join(unread)}, which the run does not read")
+    return point

@@ -27,6 +27,23 @@ def write(tmp_path, text):
     return path
 
 
+# A csv config that builds without its file; a run reads data.csv in the
+# working directory, which write_csv makes: 60 rows, 50 for training, 5 per device.
+_CSV = {
+    "data.source": "csv",
+    "data.path": "data.csv",
+    "data.label_column": "y",
+    "data.test_samples": 10,
+    "estimator.v": 1.0,
+}
+
+
+def write_csv(directory):
+    rng = np.random.default_rng(0)
+    rows = ["a,b,y"] + [f"{a},{b},{a - 2 * b + rng.standard_normal()}" for a, b in rng.standard_normal((60, 2))]
+    (directory / "data.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+
+
 class TestDefaults:
     def test_empty_file_is_valid(self, tmp_path):
         cfg = parse_config(write(tmp_path, ""))
@@ -86,6 +103,10 @@ class TestValidation:
         with pytest.raises(ConfigError, match="file not found"):
             parse_config(tmp_path / "absent.ini")
 
+    def test_key_before_any_section(self, tmp_path):
+        with pytest.raises(ConfigError, match="^config: parse failure"):
+            parse_config(write(tmp_path, "rounds = 5\n"))
+
     def test_mlp_synthetic_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="linear and logistic"):
             parse_config(write(tmp_path, "[model]\nkind = mlp\n[experiment]\neta = 0.01\n"))
@@ -121,6 +142,26 @@ class TestValidation:
         with pytest.raises(ConfigError) as info:
             make_config({"data.noise_mu": 800.0, "estimator.v": v})
         assert info.value.field == "data.noise"
+
+    @pytest.mark.parametrize("overrides, fieldname, reason", [
+        (
+            {"experiment.algorithm": "baseline", "aggregator.kind": "bulyan", "data.devices": 2},
+            "aggregator.f",
+            "bulyan needs more than 2 devices",
+        ),
+        ({"data.source": "csv", "data.path": "x.csv"}, "data.label_column", "csv source requires a label column"),
+        (
+            {**_CSV, "experiment.algorithm": "robust_compressed", "compressor.kind": "topk"},
+            "compressor.k",
+            "set k explicitly for csv data (dimension unknown until load)",
+        ),
+        # the variance exp(2 mu + sigma^2) (exp(sigma^2) - 1) underflows to 0.0
+        ({"data.noise_mu": -400.0}, "data.noise", "auto v needs a positive noise variance, got 0.0"),
+    ], ids=["bulyan-m2", "csv-label", "csv-topk-auto-k", "zero-variance"])
+    def test_a_refusal_names_its_key(self, overrides, fieldname, reason):
+        with pytest.raises(ConfigError) as info:
+            make_config(overrides)
+        assert (info.value.field, info.value.reason) == (fieldname, reason)
 
     def test_manual_schedule_needs_both_fields(self):
         with pytest.raises(ConfigError, match="both s and tau"):
@@ -343,22 +384,34 @@ _UNREAD = {
     "attack.kind": ({}, {"attack.kind": "gaussian_noise"}),
     "attack.strength": ({"attack.alpha": 0.05}, {"attack.strength": 2.0}),  # floor(0.05 * 10) = 0
     "attack.dynamic": ({}, {"attack.dynamic": True}),
+    "data.d": (_CSV, {"data.d": 3}),
+    "data.samples_per_device": (_CSV, {"data.samples_per_device": 50}),
+    "data.feature_sigma": (_CSV, {"data.feature_sigma": 0.5}),
+    "data.noise": (_CSV, {"data.noise": "pareto"}),
+    "data.path": ({}, {"data.path": "other.csv"}),
+    "data.label_column": ({}, {"data.label_column": "y"}),
+    "data.feature_columns": ({}, {"data.feature_columns": "a,b"}),
+    "data.standardize": ({}, {"data.standardize": True}),
+    "data.add_bias": ({}, {"data.add_bias": True}),
 }
 
 
 class TestUnreadKeys:
     def test_every_key_a_run_can_leave_unread_has_a_case(self):
+        bases = ({}, _MANUAL, {"experiment.eta": 0.05}, {"data.noise": "pareto"}, {**_CSV, "compressor.k": 3})
         unread = set()
         for algorithm in ALGORITHMS:
             for kind in AGGREGATOR_KINDS:
                 for codec in COMPRESSOR_KINDS:
-                    for manual in ({}, _MANUAL, {"experiment.eta": 0.05}, {"data.noise": "pareto"}):
+                    for manual in bases:
                         overrides = {"experiment.algorithm": algorithm, "aggregator.kind": kind, "compressor.kind": codec}
                         unread |= set(_ignored(make_config({**overrides, **manual})))
         assert unread == {key for _, change in _UNREAD.values() for key in change}
 
     @pytest.mark.parametrize("key", list(_UNREAD))
-    def test_an_unread_key_moves_neither_the_digest_nor_the_run(self, tmp_path, key):
+    def test_an_unread_key_moves_neither_the_digest_nor_the_run(self, tmp_path, monkeypatch, key):
+        monkeypatch.chdir(tmp_path)
+        write_csv(tmp_path)
         base, change = _UNREAD[key]
         small = {"experiment.rounds": 2, "experiment.repetitions": 1, "data.samples_per_device": 20, **base}
         configs = {"plain": make_config(small), "changed": make_config({**small, **change})}
@@ -444,6 +497,7 @@ _SWEEP_BASES = {
         "attack.kind": "gaussian_noise",
         "data.noise": "pareto",
     },
+    "csv": _CSV,
 }
 _SWEEP_POINTS = [
     ("experiment.algorithm", "baseline", {"experiment.algorithm": "baseline"}),
@@ -455,22 +509,47 @@ _SWEEP_POINTS = [
     ("experiment.eta", "auto", {"experiment.eta": "auto"}),
     ("N", 2000, {"data.samples_per_device": 200}),
     ("m", 20, {"data.devices": 20, "data.samples_per_device": 50}),
+    ("data.devices", 5, {"data.devices": 5}),
 ]
 _SWEEP_CASES = [(base, *point) for base in _SWEEP_BASES for point in _SWEEP_POINTS] + [
     ("compressed", "compressor", "randk", {"compressor.kind": "randk"}),
     ("compressed", "compressor", "topk:4", {"compressor.kind": "topk", "compressor.k": 4}),
 ]
+# Where a point does not read a key its axis writes, every value would run the
+# same, so the sweep refuses the axis and names that key.
+_UNREAD_AXES = {
+    **{(base, "attack.kind"): "attack.kind" for base in _SWEEP_BASES},  # floor(alpha * m) = 0
+    **{(base, "aggregator.kind"): "aggregator.kind" for base in ("default", "compressed", "csv")},  # preset's rule
+    ("baseline", "data.noise_sigma"): "data.noise_sigma",  # pareto noise
+    ("csv", "data.noise_sigma"): "data.noise_sigma",
+    ("csv", "sigma_x"): "data.feature_sigma",
+    ("csv", "N"): "data.samples_per_device",
+    ("csv", "m"): "data.samples_per_device",
+}
+_READ_CASES = [case for case in _SWEEP_CASES if case[:2] not in _UNREAD_AXES]
+_REFUSED_CASES = [(*case[:3], _UNREAD_AXES[case[:2]]) for case in _SWEEP_CASES if case[:2] in _UNREAD_AXES]
 
 
 class TestApplyAxis:
     @pytest.mark.parametrize(
-        "base, axis, value, written", _SWEEP_CASES, ids=[f"{b}-{a}={v}" for b, a, v, _ in _SWEEP_CASES]
+        "base, axis, value, written", _READ_CASES, ids=[f"{b}-{a}={v}" for b, a, v, _ in _READ_CASES]
     )
     def test_a_point_is_the_config_with_the_value_written_in(self, base, axis, value, written):
         point = apply_axis(make_config(_SWEEP_BASES[base]), axis, value)
         written_in = make_config({**_SWEEP_BASES[base], **written})
         assert point == written_in
         assert config_digest(point) == config_digest(written_in)
+
+    @pytest.mark.parametrize(
+        "base, axis, value, key", _REFUSED_CASES, ids=[f"{b}-{a}={v}" for b, a, v, _ in _REFUSED_CASES]
+    )
+    def test_a_point_that_does_not_read_the_axis_is_refused(self, base, axis, value, key):
+        with pytest.raises(ConfigError) as info:
+            apply_axis(make_config(_SWEEP_BASES[base]), axis, value)
+        assert (info.value.field, info.value.reason) == (
+            f"sweep.{axis}",
+            f"{axis}={value} sets {key}, which the run does not read",
+        )
 
     @pytest.mark.parametrize(
         "axis, value, read",
@@ -539,8 +618,13 @@ class TestApplyAxis:
     @pytest.mark.parametrize("algorithm", ["robust", "baseline"])
     def test_compressor_axis_needs_a_preset_with_a_codec(self, algorithm):
         cfg = make_config({"experiment.algorithm": algorithm})
-        with pytest.raises(ConfigError, match="sweep.compressor.*dense uploads"):
+        with pytest.raises(ConfigError, match="^sweep.compressor: .* sets compressor.kind, compressor.k, which"):
             apply_axis(cfg, "compressor", "topk:4")
+
+    def test_compressor_axis_refuses_a_parameter_of_a_kind_that_takes_none(self):
+        cfg = make_config({"experiment.algorithm": "robust_compressed"})
+        with pytest.raises(ConfigError, match="^sweep.compressor: l1 takes no parameter, got '3'"):
+            apply_axis(cfg, "compressor", "l1:3")
 
     def test_unknown_axis(self):
         with pytest.raises(ConfigError, match="unknown axis"):

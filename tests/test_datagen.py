@@ -281,3 +281,15 @@ class TestLoadCsv:
         path.write_text("", encoding="utf-8")
         with pytest.raises(ParseError):
             load_csv(path, CsvSchema(label_column="y"))
+
+    def test_label_column_alone(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("y\n1\n2\n", encoding="utf-8")
+        with pytest.raises(InvalidConfig, match="no feature columns left"):
+            load_csv(path, CsvSchema(label_column="y"))
+
+    def test_header_only(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("a,y\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="d.csv: no data rows"):
+            load_csv(path, CsvSchema(label_column="y"))

@@ -251,6 +251,25 @@ class TestCli:
         assert err.startswith(f"config error: {names}") and err.count("\n") == 1
         assert not out_dir.exists()
 
+    def test_sweep_refuses_an_axis_its_points_do_not_read(self, tmp_path, capsys):
+        path = self.write_config(tmp_path)  # lognormal noise reads no shape
+        out_dir = tmp_path / "sweep"
+        command = ["sweep", str(path), "--axis", "data.noise_shape", "--values", "2.5,4", "--out", str(out_dir)]
+        assert main(command) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "config error: sweep.data.noise_shape: data.noise_shape=2.5 sets data.noise_shape, "
+            "which the run does not read\n"
+        )
+        assert not out_dir.exists()
+
+    def test_sweep_without_values(self, tmp_path, capsys):
+        path = self.write_config(tmp_path)
+        out_dir = tmp_path / "sweep"
+        assert main(["sweep", str(path), "--axis", "alpha", "--values", ",", "--out", str(out_dir)]) == 1
+        assert capsys.readouterr().err == "config error: values: no axis values given\n"
+        assert not out_dir.exists()
+
     def test_sweep_invalid_value(self, tmp_path, capsys):
         path = self.write_config(tmp_path)
         assert main(["sweep", str(path), "--axis", "N", "--values", "1001"]) == 1
