@@ -22,6 +22,10 @@ DEFAULT_STRENGTH = {
     "mean_shift": 1.0,      # shift in units of the good coordinate-wise std
 }
 ATTACK_KINDS = tuple(DEFAULT_STRENGTH)
+# Kinds whose Byzantine message does not read the row's own upload: corrupt
+# overwrites those rows, so the local stage need not estimate them.
+# gaussian_noise perturbs the row's own upload.
+REPLACES_ROW = frozenset({"sign_flip", "large_value", "mean_shift"})
 
 
 @dataclass(frozen=True)
@@ -61,7 +65,8 @@ def select_byzantine(m: int, alpha: float, rng) -> frozenset:
 
 
 def corrupt(attack: AttackSpec, honest_uploads, byz_set, rng) -> np.ndarray:
-    """Replace the rows of ``byz_set``; every other row passes through.
+    """Replace the rows of ``byz_set`` (perturb them, for kinds outside
+    ``REPLACES_ROW``); every other row passes through.
 
     ``honest_uploads`` is the ``(m, d)`` array (or a list of m vectors) of
     every device's would-be honest message: the adversary sees them all.
@@ -77,14 +82,15 @@ def corrupt(attack: AttackSpec, honest_uploads, byz_set, rng) -> np.ndarray:
     good = uploads[honest_rows]
     if good.shape[0] == 0:
         raise InvalidConfig("corrupt needs at least one good device")
-    good_mean = good.mean(axis=0)
     out = uploads.copy()
+    if attack.kind not in REPLACES_ROW:  # gaussian_noise
+        out[byz] += rng.normal(0.0, attack.strength, size=(len(byz), uploads.shape[1]))
+        return out
+    good_mean = good.mean(axis=0)
     if attack.kind == "sign_flip":
         out[byz] = -attack.strength * good_mean
     elif attack.kind == "large_value":
         out[byz] = attack.strength
-    elif attack.kind == "gaussian_noise":
-        out[byz] += rng.normal(0.0, attack.strength, size=(len(byz), uploads.shape[1]))
     else:  # mean_shift: hide just outside the good cluster
         # good.std(axis=0)'s arithmetic, reusing the mean
         x = good - good_mean

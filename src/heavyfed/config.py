@@ -504,6 +504,8 @@ def apply_axis(config: ExperimentConfig, axis: str, value) -> ExperimentConfig:
     samples, devices fixed), m (devices, total samples fixed) or compressor (``kind[:param]``).
     A point that does not read a key the axis changed is refused."""
     parsed, raw = axis_value(axis, value), dict(config.raw)
+    if axis in ("N", "m"):  # refused on csv data, whose file sets the total, before it is divided
+        _refuse_unread(axis, value, ["data.samples_per_device"], config)
     if axis == "N":
         if parsed % config.devices:
             _fail("sweep.N", f"N={parsed} is not divisible by devices={config.devices}")
@@ -525,7 +527,11 @@ def apply_axis(config: ExperimentConfig, axis: str, value) -> ExperimentConfig:
     else:  # as make_config writes the parsed value
         raw[_ALIASES.get(axis, axis)] = _stringify(parsed)
     point = _build(raw)
-    unread = [key for key, text in raw.items() if text != config.raw[key] and key in _ignored(point)]
+    _refuse_unread(axis, value, [key for key, text in raw.items() if text != config.raw[key]], point)
+    return point
+
+
+def _refuse_unread(axis, value, keys, point):
+    unread = [key for key in keys if key in _ignored(point)]
     if unread:  # every value would run the same
         _fail(f"sweep.{axis}", f"{axis}={value} sets {', '.join(unread)}, which the run does not read")
-    return point

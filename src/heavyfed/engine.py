@@ -10,8 +10,11 @@ batched call over the stacked ``(m, n, p)`` shards, and the codec encodes
 the whole array in one call.  ``run`` builds every generator a stage draws
 from; the codec and the adversary draw from nothing else.  Random-k's keep
 masks come from one stream per round (not one per device): every upload's
-at the start of the round, so the robust estimator evaluates only the
-``(device, coordinate)`` entries it keeps, then the Byzantine re-encodes'.
+at the start of the round, then the Byzantine re-encodes'.  The round's
+Byzantine set, from the adversary's own stream, is drawn before the local
+stage too, so the robust estimator evaluates only the ``(device,
+coordinate)`` entries the server reads: those the codec keeps, in the rows
+the attack does not overwrite (``adversary.REPLACES_ROW``).
 Device computations are pure functions of (round state, shard, derived
 seed), so identical configs and seeds reproduce bit-identical metric streams.
 """
@@ -133,11 +136,11 @@ def _initial_point(config, rep, d):
 
 
 def _local_stage(model, shards, est, rule):
-    """Device side of a round: (parameters, codec keep mask) -> ``(m, d)``
+    """Device side of a round: (parameters, estimation mask) -> ``(m, d)``
     array of uploads, one batched call over the stacked ``(m, n, p)`` shards.
 
-    Only the robust estimator reads the mask (``None``: every entry); only
-    random-k draws one, and the baseline never compresses.
+    Only the robust estimator reads the mask (``None``: every entry), and
+    returns 0.0 at the entries it leaves out.
     """
     if est is not None:
         return lambda w, keep: robust_gradient(model, w, shards, est, keep)
@@ -158,6 +161,15 @@ def _local_stage(model, shards, est, rule):
         return buffer
 
     return with_momentum
+
+
+def _without_rows(keep, rows, shape):
+    # the entries of keep (None: every entry of shape) outside rows
+    if not rows:
+        return keep
+    mask = np.ones(shape, dtype=bool) if keep is None else keep.copy()
+    mask[sorted(rows)] = False
+    return mask
 
 
 def _uplink(codec, uploads, keep, attack, byz, adv_rng, codec_rng):
@@ -187,7 +199,8 @@ def run(config: ExperimentConfig, rep: int = 0) -> list[RoundMetrics]:
     w = _initial_point(config, rep, d)
 
     codec, rule = config.compressor, config.aggregator
-    local = _local_stage(model, shards, config.estimator_params(n=len(shards), m=m, d=d), rule)
+    est = config.estimator_params(n=len(shards), m=m, d=d)
+    local = _local_stage(model, shards, est, rule)
     adv_seed = stream_seed(config, rep, "adversary")
     comp_seed = stream_seed(config, rep, "compressor")
     alpha, dynamic = config.attack.alpha, config.attack.dynamic
@@ -198,6 +211,8 @@ def run(config: ExperimentConfig, rep: int = 0) -> list[RoundMetrics]:
 
     # a static Byzantine set is the same every round: draw it once
     static_byz = None if dynamic else byzantine_set((0,))
+    # the estimator skips the rows the attack overwrites; the baseline reads no mask
+    skip_byz = est is not None and config.attack.kind in adversary.REPLACES_ROW
 
     def snapshot(t, bytes_up, grad_norm, w_now):
         err = float(np.linalg.norm(w_now - w_star)) if w_star is not None else None
@@ -208,8 +223,8 @@ def run(config: ExperimentConfig, rep: int = 0) -> list[RoundMetrics]:
         # one codec stream per round: every device's keep mask, then the Byzantine re-encodes
         codec_rng = _round_rng(codec.kind == "randk", comp_seed, (t,))
         keep = compression.keep_mask(codec, (m, d), codec_rng)
-        uploads = local(w, keep)
         byz = byzantine_set((1 + t,)) if dynamic else static_byz
+        uploads = local(w, _without_rows(keep, byz, (m, d)) if skip_byz else keep)
         adv_rng = _round_rng(config.attack.kind == "gaussian_noise", adv_seed, (t, 1))
         vectors, bytes_up = _uplink(codec, uploads, keep, config.attack, byz, adv_rng, codec_rng)
         agg_vec = aggregation.aggregate(rule, vectors)

@@ -353,18 +353,25 @@ def robust_gradient(model, w, data, params: EstimatorParams, keep=None) -> np.nd
     """
     if len(data) == 0:
         raise EmptyInput("robust_gradient needs a non-empty dataset")
-    grads = per_sample_gradients(model, w, data)
     if keep is None:
-        values = _smoothed_values(grads, params)
+        return params.s * _smoothed_values(per_sample_gradients(model, w, data), params).mean(axis=-2)
+    shape = data.labels.shape[:-1] + (model.dim,)
+    if np.shape(keep) != shape:
+        raise DimensionMismatch(f"keep mask of shape {np.shape(keep)} for a result of shape {shape}")
+    entries = np.nonzero(keep)
+    values = _smoothed_values(per_sample_gradients(model, w, data, entries), params)
+    # One row of samples per kept entry, each summed as the mean above sums
+    # it.  numpy adds along a contiguous axis pairwise and along any other in
+    # turn, from +0.0; the full tensor's sample axis is contiguous only when
+    # dim == 1.  Summing in turn with accumulate starts from the first sample
+    # instead, which differs only where every sample is -0.0: adding +0.0
+    # mends that.
+    if model.dim == 1:
+        sums = np.add.reduce(values, axis=-1)
+    elif len(values) == 1:  # a one-column transpose would be contiguous
+        sums = np.add.accumulate(values, axis=-1)[:, -1] + 0.0
     else:
-        if np.shape(keep) != grads.shape[:-2] + grads.shape[-1:]:
-            raise DimensionMismatch(f"keep mask of shape {np.shape(keep)} for gradients of shape {grads.shape}")
-        # every sample of a kept entry, scattered back into a C-ordered zero
-        # array of the full shape, so the mean below sums each kept entry's
-        # samples in the same order as the unmasked path
-        *lead, col = np.nonzero(keep)
-        kept = (*lead, slice(None), col)
-        values = np.zeros(grads.shape)
-        values[kept] = _smoothed_values(grads[kept], params)
-    return params.s * values.mean(axis=-2)
-
+        sums = np.add.reduce(np.ascontiguousarray(values.T), axis=0)
+    out = np.zeros(shape)
+    out[entries] = params.s * (sums / len(data))
+    return out

@@ -135,15 +135,30 @@ def _margin_weights(model, w, X, y):
     return -y * _sigmoid(-y * (X @ w))
 
 
-def per_sample_gradients(model: LossModel, w, data: Dataset) -> np.ndarray:
+def per_sample_gradients(model: LossModel, w, data: Dataset, entries=None) -> np.ndarray:
     """Per-sample loss gradients, one row per sample: ``(..., n, dim)`` for
-    features ``(..., n, p)``."""
+    features ``(..., n, p)``.
+
+    ``entries``, index arrays of k ``(..., dim)`` entries as ``np.nonzero``
+    gives them, returns only those entries' gradients, ``(k, n)``: row e holds
+    entry e at every sample of its shard, with the same bytes as the full
+    tensor.  Linear and logistic models build only the selected products.
+    """
     if len(data) == 0:
         raise EmptyInput("per_sample_gradients needs a non-empty dataset")
     w = _check(model, w, data)
     X, y = data.features, data.labels
     if model.kind != "mlp":
-        return _margin_weights(model, w, X, y)[..., None] * X
+        c = _margin_weights(model, w, X, y)
+        if entries is None:
+            return c[..., None] * X
+        # one weight per sample times one feature column per entry
+        return c[entries[:-1]] * np.moveaxis(X, -2, -1)[entries]
+    grads = _mlp_gradients(model, w, X, y)
+    return grads if entries is None else np.moveaxis(grads, -2, -1)[entries]
+
+
+def _mlp_gradients(model, w, X, y):
     w1, b1, w2, b2 = _unpack_mlp(model, w)
     hid = np.tanh(X @ w1.T + b1)
     out = hid @ w2 + b2

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from heavyfed import AttackSpec, InvalidConfig, byzantine_count, corrupt, select_byzantine
-from heavyfed.adversary import ATTACK_KINDS
+from heavyfed.adversary import ATTACK_KINDS, REPLACES_ROW
 from oracles import corrupt_reference
 
 
@@ -135,6 +135,17 @@ class TestCorrupt:
             out = corrupt(spec, ups, byz, np.random.default_rng(7))
             expected = corrupt_reference(spec, ups, byz, np.random.default_rng(7))
             assert out.tobytes() == expected.tobytes()
+    @pytest.mark.parametrize("kind", ATTACK_KINDS)
+    def test_a_replaced_row_does_not_read_its_own_upload(self, kind):
+        # the engine leaves these rows unestimated: their uploads must not matter
+        spec = AttackSpec(kind=kind, strength=2.0, alpha=0.3)
+        ups = np.random.default_rng(12).standard_normal((10, 4))
+        other = ups.copy()
+        other[[2, 7]] = 0.0
+        a = corrupt(spec, ups, frozenset({2, 7}), np.random.default_rng(1))
+        b = corrupt(spec, other, frozenset({2, 7}), np.random.default_rng(1))
+        assert np.array_equal(a, b) == (kind in REPLACES_ROW)
+
 
 class TestAttackSpec:
     def test_alpha_bound(self):

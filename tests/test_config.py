@@ -551,6 +551,16 @@ class TestApplyAxis:
             f"{axis}={value} sets {key}, which the run does not read",
         )
 
+    @pytest.mark.parametrize("axis, value", [("m", 7), ("N", 1001)])
+    def test_csv_refuses_a_sample_count_before_dividing_it(self, axis, value):
+        # the file sets the total, so no divisibility message may name one
+        with pytest.raises(ConfigError) as info:
+            apply_axis(make_config(_CSV), axis, value)
+        assert (info.value.field, info.value.reason) == (
+            f"sweep.{axis}",
+            f"{axis}={value} sets data.samples_per_device, which the run does not read",
+        )
+
     @pytest.mark.parametrize(
         "axis, value, read",
         [

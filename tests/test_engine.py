@@ -343,6 +343,57 @@ class TestByzantineSets:
         assert all((rng is not None) == draws for rng in rngs)
 
 
+    @pytest.mark.parametrize("algorithm, codec", [("robust", "identity"), ("robust_compressed", "randk")])
+    @pytest.mark.parametrize("dynamic", [False, True])
+    @pytest.mark.parametrize(
+        "kind, skipped",
+        [("sign_flip", True), ("large_value", True), ("mean_shift", True), ("gaussian_noise", False), ("none", False)],
+    )
+    def test_estimator_skips_the_rows_the_attack_overwrites(self, monkeypatch, algorithm, codec, dynamic, kind, skipped):
+        from heavyfed import adversary, compression, engine
+
+        masks, kept, sets = [], [], []
+        originals = engine.robust_gradient, compression.keep_mask, adversary.corrupt
+
+        def estimating(model, w, data, params, keep=None):
+            masks.append(keep)
+            return originals[0](model, w, data, params, keep)
+
+        def drawing(spec, shape, rng):
+            kept.append(originals[1](spec, shape, rng))
+            return kept[-1]
+
+        def corrupting(attack, uploads, byz, rng):
+            sets.append(byz)
+            return originals[2](attack, uploads, byz, rng)
+
+        monkeypatch.setattr(engine, "robust_gradient", estimating)
+        monkeypatch.setattr(compression, "keep_mask", drawing)
+        monkeypatch.setattr(adversary, "corrupt", corrupting)
+        cfg = tiny_config(**{
+            "experiment.algorithm": algorithm,
+            "experiment.rounds": 6,
+            "compressor.kind": codec,
+            "compressor.p": 0.5,
+            "attack.kind": kind,
+            "attack.alpha": 0.4,
+            "attack.dynamic": dynamic,
+        })
+        run(cfg)
+        # the Byzantine re-encodes draw their own keep masks after the round's first
+        round_keeps = kept[:: 2 if codec == "randk" else 1]
+        assert len(masks) == len(round_keeps) == len(sets) == 6
+        assert all(len(byz) == 2 for byz in sets)
+        assert (len(set(sets)) > 1) == dynamic
+        for mask, keep, byz in zip(masks, round_keeps, sets):
+            if not skipped:
+                assert mask is keep
+                continue
+            expected = np.ones((cfg.devices, cfg.dimension), dtype=bool) if keep is None else keep.copy()
+            expected[list(byz)] = False
+            assert np.array_equal(mask, expected)
+
+
 class TestCompressedRun:
     def test_topk_full_retention_matches_identity(self):
         base = {

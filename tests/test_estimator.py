@@ -313,7 +313,7 @@ class TestRobustGradient:
         ),
         m=st.sampled_from([None, 1, 3]),  # None: one plain (n, p) dataset
         n=st.sampled_from([1, 8, 9, 50]),
-        kept=st.sampled_from(["none", "one", "all", "some"]),
+        kept=st.sampled_from(["none", "one", "all", "some", "rows"]),
         s=st.sampled_from([0.01, 1.0, 100.0]),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
@@ -331,9 +331,24 @@ class TestRobustGradient:
             keep[...] = True
         elif kept == "some":
             keep = rng.random(full.shape) < 0.5
+        elif kept == "rows":
+            keep[rng.random(full.shape[:-1]) < 0.5] = True
         masked = robust_gradient(model, w, data, params, keep=keep)
         assert masked.shape == full.shape
         assert masked.tobytes() == np.where(keep, full, 0.0).tobytes()
+
+    def test_keep_mask_sums_signed_zeros_as_the_mean_does(self):
+        # a perfect fit's per-sample gradients are -0.0 at negative features;
+        # the unmasked mean sums them from +0.0
+        model = LossModel("linear", 3)
+        X = np.array([[-1.0, 2.0, -3.0]])
+        w = np.array([0.5, 0.25, 1.0])
+        data = Dataset(X, X @ w)
+        params = EstimatorParams(1.0, 16.9)
+        full = robust_gradient(model, w, data, params)
+        for keep in (np.ones(3, dtype=bool), np.array([True, False, False])):
+            masked = robust_gradient(model, w, data, params, keep=keep)
+            assert masked.tobytes() == np.where(keep, full, 0.0).tobytes()
 
     def test_keep_mask_must_match_the_result(self):
         model = LossModel("linear", 3)
