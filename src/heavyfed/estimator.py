@@ -11,7 +11,9 @@ coordinate-wise bounded second raw moment.
 estimator only ever evaluates it on the line ``b = |a| / sqrt(tau)``, an odd
 function of ``a`` alone for the run's fixed tau, so it reads it from a
 piecewise-Chebyshev table built from ``smoothed_truncate`` once per tau on
-first use.
+first use, of the lowest degree that meets the table's tolerance.  Given a
+mask, ``robust_gradient`` builds and estimates only the samples of the
+entries it keeps.
 """
 
 from __future__ import annotations
@@ -34,13 +36,12 @@ TRUNCATION_CAP = 2.0 * SQRT2 / 3.0
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
-_erfc = np.vectorize(math.erfc, otypes=[float])
-
-
 def _ndtr(x):
-    # standard normal CDF, elementwise; the estimator's kernel reads the
-    # table, so this runs only in smoothed_truncate and the table build
-    return 0.5 * _erfc(-x / SQRT2)
+    # standard normal CDF of a 1-d array, elementwise, from math.erfc; the
+    # estimator's kernel reads the table, so this runs only in
+    # smoothed_truncate and the table build
+    t = np.ravel(-x / SQRT2).tolist()
+    return 0.5 * np.fromiter(map(math.erfc, t), float, len(t))
 
 
 # Beyond this magnitude of |a| + b the closed form loses accuracy: where
@@ -55,17 +56,29 @@ _CLOSED_FORM_LIMIT = 10.0
 _B_TINY = 1e-300
 
 # The estimator's table of g(r) = smoothed_truncate(r, r / sqrt(tau)), r >= 0:
-# pieces of degree _TABLE_DEGREE, uniform in z = log1p(r / _TABLE_R0) over
+# pieces of one degree, uniform in z = log1p(r / _TABLE_R0) over
 # 0 <= r <= _TABLE_END, and one piece in _TABLE_END / r beyond, where g is
 # analytic in 1 / r.  The build checks every piece against smoothed_truncate
-# between its nodes and refuses a tau whose table misses it by more than
-# _TABLE_TOL.  _TABLE_MAX_PIECES bounds the build at about 25 MB and 50 ms;
-# with it the check passes for about 1e-4 <= tau <= 1e5.
-_TABLE_DEGREE = 8
+# at _TABLE_CHECK points, as densely at degree 3 as at degree 8, and refuses
+# a table that misses it by more than _TABLE_TOL.  The kernel costs one
+# Horner step per degree, whatever the piece count, so _line_table takes the
+# lowest degree in _TABLE_DEGREES, then the fewest pieces in _TABLE_PIECES,
+# that passes.  Some degree passes for about 1e-4 <= tau <= 1e5: degree 3
+# (4096 pieces) from about 0.25 to 25, which holds robust-ref's 16.9,
+# degree 4 at compressed-logistic's 32, degree 7 at 1e-4.
+_TABLE_DEGREES = range(3, 9)
+_TABLE_PIECES = (128, 256, 512, 1024, 2048, 4096)
+_TABLE_CHECK = 18
 _TABLE_R0 = 0.5
 _TABLE_END = 1e4
 _TABLE_TOL = 1e-12
-_TABLE_MAX_PIECES = 4096
+
+# Points per smoothed_truncate call in the build.  Its closed form and
+# quadrature hold about 190 bytes of temporaries per point, so one call on
+# every check point of a 4096-piece table would take some 14 MB.  In chunks
+# the build peaks at about 0.8 MB at robust-ref's tau and 1.2 MB at degree 7,
+# against 1 MB and 25 MB for the degree-8 build that evaluated all at once.
+_LINE_CHUNK = 1024
 
 # Elements per table evaluation when the estimator evaluates a batch.  The
 # kernel makes about 35 numpy calls per block, so small blocks pay for call
@@ -237,37 +250,53 @@ def _chebyshev_points(n):
 class _LineTable:
     """``g(r) = smoothed_truncate(r, r / sqrt(tau))`` for ``r >= 0`` as a table.
 
-    Column ``p`` of ``coef`` holds the monomial coefficients of piece ``p`` in
-    its local coordinate ``u`` in [0, 1]: ``z * inv_width - p`` for the pieces
-    uniform in ``z = log1p(r / _TABLE_R0)``, ``_TABLE_END / r`` for the tail
-    piece.  Each piece interpolates ``smoothed_truncate`` at the Chebyshev
-    points of ``u``, all pieces in one solve.
+    Column ``p`` of ``coef`` holds the ``degree + 1`` monomial coefficients of
+    piece ``p`` in its local coordinate ``u`` in [0, 1]: ``z * inv_width - p``
+    for the pieces uniform in ``z = log1p(r / _TABLE_R0)``, ``_TABLE_END / r``
+    for the tail piece.  Each piece interpolates ``smoothed_truncate`` at the
+    Chebyshev points of ``u``, all pieces in one solve.
     """
 
-    def __init__(self, tau, pieces):
-        self.pieces = pieces
+    def __init__(self, tau, pieces, degree=_TABLE_DEGREES[-1]):
+        self.pieces, self.degree = pieces, degree
         self.inv_width = pieces / math.log1p(_TABLE_END / _TABLE_R0)
-        nodes = _chebyshev_points(_TABLE_DEGREE + 1)
-        r = self._radii(nodes)
-        values = smoothed_truncate(r, r / math.sqrt(tau))
+        nodes = _chebyshev_points(degree + 1)
+        values = _on_line(self._radii(nodes, np.arange(pieces + 1)), tau)
         self.coef = np.linalg.solve(np.vander(nodes, increasing=True), values.T)
         # g(0) = 0 exactly, so inputs that are exactly zero estimate exactly zero
         self.coef[0, 0] = 0.0
         self.coef.flags.writeable = False
-        r = self._radii(_chebyshev_points(2 * (_TABLE_DEGREE + 1))).ravel()
-        q = r / _TABLE_R0
-        got = self.magnitude(q, np.empty_like(q), _scratch(q.size))
-        miss = np.abs(got - smoothed_truncate(r, r / math.sqrt(tau))).max()
+        miss = self._miss(tau)
         if not miss <= _TABLE_TOL:
             raise InvalidConfig(
                 f"estimator table for tau={tau} misses smoothed_truncate by {miss:.2g} "
-                f"with {pieces} pieces (tolerance {_TABLE_TOL:g})"
+                f"with {pieces} pieces of degree {degree} (tolerance {_TABLE_TOL:g})"
             )
 
-    def _radii(self, u):
-        # r at local coordinates u of every piece, one row per piece
-        z = (np.arange(self.pieces)[:, None] + u) / self.inv_width
-        return np.vstack([_TABLE_R0 * np.expm1(z), _TABLE_END / u])
+    def _radii(self, u, index):
+        # r at local coordinates u of the pieces in index, one row per piece;
+        # piece self.pieces is the tail
+        r = index[:, None] + u
+        r /= self.inv_width
+        np.expm1(r, out=r)
+        r *= _TABLE_R0
+        r[index == self.pieces] = _TABLE_END / u
+        return r
+
+    def _miss(self, tau):
+        # the largest miss at the check points, a chunk of pieces at a time;
+        # a table that fails stops at its first failing chunk
+        u = _chebyshev_points(_TABLE_CHECK)
+        step = _LINE_CHUNK // _TABLE_CHECK
+        miss = 0.0
+        for first in range(0, self.pieces + 1, step):
+            r = self._radii(u, np.arange(first, min(first + step, self.pieces + 1))).ravel()
+            q = r / _TABLE_R0
+            got = self.magnitude(q, np.empty_like(q), _scratch(q.size))
+            miss = max(miss, np.abs(got - _on_line(r, tau)).max())
+            if not miss <= _TABLE_TOL:
+                break
+        return miss
 
     def magnitude(self, q, out, scratch):
         """g at ``r = q * _TABLE_R0`` for ``q >= 0`` into ``out``, which is
@@ -288,8 +317,8 @@ class _LineTable:
             u[tail] = np.where(np.isinf(q_tail), np.nan, q_end / q_tail)
             piece[tail] = self.pieces
         # every index is a valid piece; "clip" only spares take a buffered copy
-        self.coef[_TABLE_DEGREE].take(piece, out=out, mode="clip")
-        for row in self.coef[_TABLE_DEGREE - 1 :: -1]:
+        self.coef[self.degree].take(piece, out=out, mode="clip")
+        for row in self.coef[self.degree - 1 :: -1]:
             out *= u
             out += row.take(piece, out=term, mode="clip")
         return out
@@ -308,17 +337,26 @@ def _workspace(size):
     return buffers
 
 
-def _table_pieces(tau):
-    # The curve bends over a width of about 1 / sqrt(tau) around r = sqrt2
-    # when tau is large, and over about sqrt(tau) near r = 0 when it is small;
-    # 192 pieces hold 1/4 <= tau <= 16 to about 2e-14 of smoothed_truncate.
-    root = math.sqrt(tau)
-    return min(math.ceil(48.0 * max(4.0, root, 2.0 / root)), _TABLE_MAX_PIECES)
+def _on_line(r, tau):
+    # smoothed_truncate(r, r / sqrt(tau)) for r >= 0, _LINE_CHUNK points per call
+    flat = np.ravel(r)
+    out = np.empty_like(flat)
+    for start in range(0, flat.size, _LINE_CHUNK):
+        x = flat[start : start + _LINE_CHUNK]
+        out[start : start + _LINE_CHUNK] = smoothed_truncate(x, x / math.sqrt(tau))
+    return out.reshape(np.shape(r))
 
 
 @functools.lru_cache(maxsize=8)
 def _line_table(tau):
-    return _LineTable(tau, _table_pieces(tau))
+    # the lowest degree, then the fewest pieces, whose table passes its check
+    for degree in _TABLE_DEGREES:
+        for pieces in _TABLE_PIECES:
+            try:
+                return _LineTable(tau, pieces, degree)
+            except InvalidConfig as exc:
+                refusal = exc
+    raise refusal
 
 
 def _smoothed_values(x, params: EstimatorParams):

@@ -178,6 +178,38 @@ class TestLineTable:
         with pytest.raises(InvalidConfig, match="tau=16.9"):
             estimator._LineTable(16.9, 8)
 
+    @pytest.mark.parametrize("tau", [1e-4, 1e-2, 1.0, 16.902992986180593, 32.0, 1e3, 1e5])
+    def test_the_lowest_degree_that_meets_the_tolerance(self, tau):
+        table = estimator._line_table(tau)
+        assert table.degree in estimator._TABLE_DEGREES and table.pieces in estimator._TABLE_PIECES
+        r = np.exp(np.random.default_rng(12).uniform(math.log(1e-6), math.log(1e6), 20000))
+        got = estimator._smoothed_values(r, EstimatorParams(1.0, tau))
+        assert np.abs(got - smoothed_truncate(r, r / math.sqrt(tau))).max() <= estimator._TABLE_TOL
+        if table.degree > estimator._TABLE_DEGREES[0]:  # the degree below misses at the most pieces
+            with pytest.raises(InvalidConfig, match=f"degree {table.degree - 1}"):
+                estimator._LineTable(tau, estimator._TABLE_PIECES[-1], table.degree - 1)
+
+    def test_robust_ref_tau_gets_a_low_degree(self):
+        tau = default_params(n=100, m=10, d=10, v=0.5, diameter=10.0, lipschitz=1.0).tau
+        assert estimator._line_table(tau).degree <= 4
+
+    def test_a_tau_without_a_table_is_refused_at_every_degree(self):
+        with pytest.raises(InvalidConfig, match="tau=1e\\+200 .* of degree 8"):
+            estimator._line_table(1e200)
+
+    @pytest.mark.parametrize("tau, peak_bound", [(16.902992986180593, 1.0e6), (1e-4, 1.5e6)])
+    def test_build_memory_is_bounded(self, tau, peak_bound):
+        # building the whole degree-8 table at once peaked at 1.02 MB at
+        # robust-ref's tau and 25 MB at 1e-4 (tracemalloc)
+        tracemalloc.start()
+        try:
+            estimator._line_table.__wrapped__(tau)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        print(f"table build at tau={tau:g}: peak {peak / 1e6:.2f} MB")
+        assert peak <= peak_bound
+
     def test_kept_buffers_carry_nothing_between_calls(self):
         # the kernel keeps its block buffers from one call to the next; a
         # smaller batch in between must not change a larger one's bytes

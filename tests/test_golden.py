@@ -70,15 +70,15 @@ GOLDEN = {
     "baseline-krum": "d390c01c92f7fe5c7c941fbf2525084faa3815f8ab2077e2e8a84c230b3db358",
     "baseline-mean": "506f878d2c365c31ba5187e54493a9b3a0fcb6948cdbddf45cfd98575cfc8d71",
     "baseline-mkrum": "dcac7469a2bd9d24fe5ac4f00ff4f4692c69fc5ce6b44dc2d6ba85b364c1e03f",
-    "compressed-identity": "e2a78e82e4c2dde77b8cd810cb34e707f180a374d3053330080bcd52b1363aff",
-    "compressed-l1": "b65ab7747071be5c17433b6bb58170ba25acd16a58be3441ea3a09507c965145",
-    "compressed-randk": "0550fc25f24bad2b31acdc9c8e05957c06c2e2a4f94389e0299e5d9acaa739b2",
-    "compressed-randk-gaussian": "e66ec2f4e362c978bb32bd73244e68671602667b8294bb923c8f9233dbf1fed9",
-    "compressed-randk-logistic": "d94d7346cd1c330d066ed6df9a7847642cc61384c3ce1ca91021230f64c8320a",
-    "compressed-topk": "4afaef2eb10bac519e0414ed730cf4b6c3e8552844c0b9af334f49225822717a",
-    "robust": "b4389e6b4445ba7be05371d6a694384f3881dcf75add554c9ed89406d034bb66",
-    "robust-logistic-dynamic": "671b9b9aea2053a4a1e20d49a6922510034aacb6e035963f2210ea37a8c41031",
-    "robust-randk-ignored": "b4389e6b4445ba7be05371d6a694384f3881dcf75add554c9ed89406d034bb66",
+    "compressed-identity": "10cf6eefc2474e9101633565b54a7f78fbfa749098bef7c9285ef592c698bbfc",
+    "compressed-l1": "8013df38207638a27aa00d55b3d143dcab17f46b3d5ebaae97acd2ffcb6c9b53",
+    "compressed-randk": "e357578f7a2d0f5b260b96b8379501ff5f30b5c47f82470b678d81993f0fe40d",
+    "compressed-randk-gaussian": "d24ab807b99e332258694a950885506dddb8c0131c156b099388cc7cc5111853",
+    "compressed-randk-logistic": "ab311b84eb6cb6c0371ecc7fd372a6819e4f27cdcce9a511e9ed7b1e8da1dfd0",
+    "compressed-topk": "1a033971aca3264bf8f8c4e9bb32297a2ab6d4b4251635e9566409e6cb8b87af",
+    "robust": "959545a9e7db15d01e38c2615fe7894c2a25e3e9902ba85bbe1bce4bad5e7b9f",
+    "robust-logistic-dynamic": "c2343a8f9e35ad12d3a1676aeea6570cf48265e22870f35335dd497282a733f5",
+    "robust-randk-ignored": "959545a9e7db15d01e38c2615fe7894c2a25e3e9902ba85bbe1bce4bad5e7b9f",
 }
 
 
