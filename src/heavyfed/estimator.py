@@ -59,13 +59,15 @@ _B_TINY = 1e-300
 # pieces of one degree, uniform in z = log1p(r / _TABLE_R0) over
 # 0 <= r <= _TABLE_END, and one piece in _TABLE_END / r beyond, where g is
 # analytic in 1 / r.  The build checks every piece against smoothed_truncate
-# at _TABLE_CHECK points, as densely at degree 3 as at degree 8, and refuses
-# a table that misses it by more than _TABLE_TOL.  The kernel costs one
-# Horner step per degree, whatever the piece count, so _line_table takes the
-# lowest degree in _TABLE_DEGREES, then the fewest pieces in _TABLE_PIECES,
-# that passes.  Some degree passes for about 1e-4 <= tau <= 1e5: degree 3
-# (4096 pieces) from about 0.25 to 25, which holds robust-ref's 16.9,
-# degree 4 at compressed-logistic's 32, degree 7 at 1e-4.
+# at _TABLE_CHECK points, as densely at degree 3 as at degree 8 (at 8 points
+# a degree-3 table passed at tau = 32, yet missed by 1.2e-12 between them),
+# and refuses a table that misses it by more than _TABLE_TOL.  The kernel
+# costs one Horner step per degree, whatever the piece count, so _line_table
+# takes the lowest degree in _TABLE_DEGREES, then the fewest pieces in
+# _TABLE_PIECES, that passes.  Some degree passes for about
+# 1e-4 <= tau <= 1e5: degree 3 (4096 pieces) from about 0.25 to 25, which
+# holds robust-ref's 16.9, degree 4 at compressed-logistic's 32, degree 7 at
+# 1e-4.  Degree 2 misses by about 3e-10 even at 4096 pieces.
 _TABLE_DEGREES = range(3, 9)
 _TABLE_PIECES = (128, 256, 512, 1024, 2048, 4096)
 _TABLE_CHECK = 18
@@ -78,6 +80,8 @@ _TABLE_TOL = 1e-12
 # every check point of a 4096-piece table would take some 14 MB.  In chunks
 # the build peaks at about 0.8 MB at robust-ref's tau and 1.2 MB at degree 7,
 # against 1 MB and 25 MB for the degree-8 build that evaluated all at once.
+# A build takes about 40-70 ms at the workloads' taus and up to 0.2 s at the
+# ends of the tau range, most of it in the check.
 _LINE_CHUNK = 1024
 
 # Elements per table evaluation when the estimator evaluates a batch.  The
