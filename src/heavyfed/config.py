@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 from .adversary import ATTACK_KINDS, DEFAULT_STRENGTH, AttackSpec, byzantine_count
 from .aggregation import AGGREGATOR_KINDS, RULES, AggregatorSpec, max_f, max_trim, trim_count
 from .compression import COMPRESSOR_KINDS, COMPRESSOR_READS, CompressorSpec
-from .datagen import NOISE_KINDS, NOISE_READS, NoiseSpec
+from .datagen import NOISE_KINDS, NOISE_READS, CsvSchema, NoiseSpec
 from .errors import ConfigError, InvalidConfig
 from .estimator import EstimatorParams, default_params
 from .losses import MLP_OBJECTIVES, MODEL_KINDS
@@ -309,6 +309,12 @@ def _resolve(raw: dict) -> ExperimentConfig:
             _fail("data.path", "csv source requires a file path")
         if value["data.label_column"] is None:
             _fail("data.label_column", "csv source requires a label column")
+        _checked(
+            "data.feature_columns",
+            CsvSchema,
+            label_column=value["data.label_column"],
+            feature_columns=value["data.feature_columns"],
+        )
     if model_kind == "mlp" and value["experiment.eta"] is None and value["experiment.smoothness"] is None:
         _fail("experiment.eta", "mlp runs need eta or smoothness set explicitly")
     s, tau = value["estimator.s"], value["estimator.tau"]

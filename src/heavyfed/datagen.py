@@ -144,12 +144,26 @@ def split_train_test(data: Dataset, n_test: int, seed=0) -> tuple[Dataset, Datas
 
 @dataclass(frozen=True)
 class CsvSchema:
-    """How to read a numeric CSV: which columns, and optional preprocessing."""
+    """How to read a numeric CSV: which columns, and optional preprocessing.
+    A feature list that names the label column or a column twice is refused."""
 
     label_column: str
     feature_columns: tuple[str, ...] | None = None  # None: every other column
     standardize: bool = False
     add_bias: bool = False
+
+    def __post_init__(self):
+        features = self.feature_columns or ()
+        if self.label_column in features:
+            raise InvalidConfig(f"feature columns name the label column {self.label_column!r}")
+        repeated = _repeated(features)
+        if repeated is not None:
+            raise InvalidConfig(f"feature columns name {repeated!r} more than once")
+
+
+def _repeated(names):
+    # the first name that occurs earlier in names, or None
+    return next((name for i, name in enumerate(names) if name in names[:i]), None)
 
 
 def _cell(row_num, row, name, idx) -> float:
@@ -165,7 +179,7 @@ def _cell(row_num, row, name, idx) -> float:
 def load_csv(path, schema: CsvSchema) -> Dataset:
     """Read a numeric, comma-separated, header-first CSV into a Dataset; a
     cell that is not a finite number is a ParseError naming its row and column,
-    and so is a file that cannot be opened.
+    and so is a header that repeats a name and a file that cannot be opened.
 
     Standardization (when enabled) makes every feature column zero mean and
     unit variance over the loaded rows; constant columns are left centered.
@@ -181,6 +195,9 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
             header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise ParseError(f"{path}: empty file, header row required") from None
+        repeated = _repeated(header)
+        if repeated is not None:
+            raise ParseError(f"{path}: header names column {repeated!r} more than once")
         if schema.label_column not in header:
             raise MissingColumn(f"label column {schema.label_column!r} not in header {header}")
         if schema.feature_columns is None:
@@ -192,9 +209,8 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
                     raise MissingColumn(f"feature column {name!r} not in header {header}")
         if not feature_names:
             raise InvalidConfig("no feature columns left after removing the label column")
-        col_index = {name: header.index(name) for name in header}
-        label_idx = col_index[schema.label_column]
-        feat_idx = [col_index[name] for name in feature_names]
+        label_idx = header.index(schema.label_column)
+        feat_idx = [header.index(name) for name in feature_names]
 
         features, labels = [], []
         for row_num, row in enumerate(reader, start=2):

@@ -56,40 +56,39 @@ _CLOSED_FORM_LIMIT = 10.0
 _B_TINY = 1e-300
 
 # The estimator's table of g(r) = smoothed_truncate(r, r / sqrt(tau)), r >= 0:
-# pieces of one degree, uniform in z = log1p(r / _TABLE_R0) over
-# 0 <= r <= _TABLE_END, and one piece in _TABLE_END / r beyond, where g is
-# analytic in 1 / r.  The build checks every piece against smoothed_truncate
-# at _TABLE_CHECK points, as densely at degree 3 as at degree 8 (at 8 points
-# a degree-3 table passed at tau = 32, yet missed by 1.2e-12 between them),
-# and refuses a table that misses it by more than _TABLE_TOL.  The kernel
-# costs one Horner step per degree, whatever the piece count, so _line_table
-# takes the lowest degree in _TABLE_DEGREES, then the fewest pieces in
-# _TABLE_PIECES, that passes.  Some degree passes for about
-# 1e-4 <= tau <= 1e5: degree 3 (4096 pieces) from about 0.25 to 25, which
-# holds robust-ref's 16.9, degree 4 at compressed-logistic's 32, degree 7 at
-# 1e-4.  Degree 2 misses by about 3e-10 even at 4096 pieces.
+# _TABLE_PIECES pieces of one degree, uniform in z = log1p(r / _TABLE_R0)
+# over 0 <= r <= _TABLE_END, and one piece in _TABLE_END / r beyond, where g
+# is analytic in 1 / r.  The build checks every piece against
+# smoothed_truncate at _TABLE_CHECK points (at 8, a degree-3 table passed at
+# tau = 32, yet missed by 1.2e-12 between them) and refuses a table that
+# misses by more than _TABLE_TOL.  The kernel costs one Horner step per
+# degree, whatever the piece count, so _line_table takes the lowest degree in
+# _TABLE_DEGREES that passes, for about 1e-4 <= tau <= 2e5: degree 3 from
+# about 0.25 to 25, which holds robust-ref's 16.9, degree 4 at
+# compressed-logistic's 32, degree 7 at 1e-4.  Degree 2 misses by about 3e-10.
 _TABLE_DEGREES = range(3, 9)
-_TABLE_PIECES = (128, 256, 512, 1024, 2048, 4096)
+_TABLE_PIECES = 4096
 _TABLE_CHECK = 18
 _TABLE_R0 = 0.5
 _TABLE_END = 1e4
 _TABLE_TOL = 1e-12
+_INV_WIDTH = _TABLE_PIECES / math.log1p(_TABLE_END / _TABLE_R0)  # pieces per unit of z
 
 # Points per smoothed_truncate call in the build.  Its closed form and
 # quadrature hold about 190 bytes of temporaries per point, so one call on
-# every check point of a 4096-piece table would take some 14 MB.  In chunks
-# the build peaks at about 0.8 MB at robust-ref's tau and 1.2 MB at degree 7,
-# against 1 MB and 25 MB for the degree-8 build that evaluated all at once.
-# A build takes about 40-70 ms at the workloads' taus and up to 0.2 s at the
-# ends of the tau range, most of it in the check.
+# every check point of the table would take some 14 MB.  In chunks the build
+# peaks at about 0.8 MB at robust-ref's tau and 1.2 MB at degree 7.  A build
+# takes about 35-50 ms at the workloads' taus and up to 0.15 s at the ends of
+# the tau range, most of it in the check.
 _LINE_CHUNK = 1024
 
 # Elements per table evaluation when the estimator evaluates a batch.  The
 # kernel makes about 35 numpy calls per block, so small blocks pay for call
 # overhead and large ones leave the cache.  On captured kernel inputs, 16384
-# ran robust-ref's 10000-element batches 5-20% faster than 4096 and tied
-# with 4096 and 8192 on compressed-logistic's 40000-element batches, where
-# whole-batch evaluation ran about 20% slower at 1.75x the peak memory.
+# ran 10000-element batches 5-20% faster than 4096 and tied with 4096 and
+# 8192 on 40000-element ones, where whole-batch evaluation ran about 20%
+# slower at 1.75x the peak memory.  robust-ref's batches now hold 8000
+# elements and compressed-logistic's 7000-11000, one block each.
 _BLOCK = 16384
 
 # Per-thread block buffers of the table kernel, kept between calls.  Buffers
@@ -255,17 +254,16 @@ class _LineTable:
     """``g(r) = smoothed_truncate(r, r / sqrt(tau))`` for ``r >= 0`` as a table.
 
     Column ``p`` of ``coef`` holds the ``degree + 1`` monomial coefficients of
-    piece ``p`` in its local coordinate ``u`` in [0, 1]: ``z * inv_width - p``
+    piece ``p`` in its local coordinate ``u`` in [0, 1]: ``z * _INV_WIDTH - p``
     for the pieces uniform in ``z = log1p(r / _TABLE_R0)``, ``_TABLE_END / r``
     for the tail piece.  Each piece interpolates ``smoothed_truncate`` at the
     Chebyshev points of ``u``, all pieces in one solve.
     """
 
-    def __init__(self, tau, pieces, degree=_TABLE_DEGREES[-1]):
-        self.pieces, self.degree = pieces, degree
-        self.inv_width = pieces / math.log1p(_TABLE_END / _TABLE_R0)
+    def __init__(self, tau, degree):
+        self.degree = degree
         nodes = _chebyshev_points(degree + 1)
-        values = _on_line(self._radii(nodes, np.arange(pieces + 1)), tau)
+        values = _on_line(_radii(nodes, np.arange(_TABLE_PIECES + 1)), tau)
         self.coef = np.linalg.solve(np.vander(nodes, increasing=True), values.T)
         # g(0) = 0 exactly, so inputs that are exactly zero estimate exactly zero
         self.coef[0, 0] = 0.0
@@ -274,18 +272,8 @@ class _LineTable:
         if not miss <= _TABLE_TOL:
             raise InvalidConfig(
                 f"estimator table for tau={tau} misses smoothed_truncate by {miss:.2g} "
-                f"with {pieces} pieces of degree {degree} (tolerance {_TABLE_TOL:g})"
+                f"with {_TABLE_PIECES} pieces of degree {degree} (tolerance {_TABLE_TOL:g})"
             )
-
-    def _radii(self, u, index):
-        # r at local coordinates u of the pieces in index, one row per piece;
-        # piece self.pieces is the tail
-        r = index[:, None] + u
-        r /= self.inv_width
-        np.expm1(r, out=r)
-        r *= _TABLE_R0
-        r[index == self.pieces] = _TABLE_END / u
-        return r
 
     def _miss(self, tau):
         # the largest miss at the check points, a chunk of pieces at a time;
@@ -293,8 +281,8 @@ class _LineTable:
         u = _chebyshev_points(_TABLE_CHECK)
         step = _LINE_CHUNK // _TABLE_CHECK
         miss = 0.0
-        for first in range(0, self.pieces + 1, step):
-            r = self._radii(u, np.arange(first, min(first + step, self.pieces + 1))).ravel()
+        for first in range(0, _TABLE_PIECES + 1, step):
+            r = _radii(u, np.arange(first, min(first + step, _TABLE_PIECES + 1))).ravel()
             q = r / _TABLE_R0
             got = self.magnitude(q, np.empty_like(q), _scratch(q.size))
             miss = max(miss, np.abs(got - _on_line(r, tau)).max())
@@ -308,9 +296,9 @@ class _LineTable:
         at least q's size."""
         u, term, piece = (buf[: q.size] for buf in scratch)
         np.log1p(q, out=u)
-        u *= self.inv_width
+        u *= _INV_WIDTH
         # fmin sends NaN to a valid piece, where u stays NaN
-        np.fmin(u, self.pieces - 1, out=out)
+        np.fmin(u, _TABLE_PIECES - 1, out=out)
         np.copyto(piece, out, casting="unsafe")
         u -= piece
         q_end = _TABLE_END / _TABLE_R0
@@ -319,13 +307,24 @@ class _LineTable:
             q_tail = q[tail]
             # g(inf) is finite; an infinite input must stay visible as NaN
             u[tail] = np.where(np.isinf(q_tail), np.nan, q_end / q_tail)
-            piece[tail] = self.pieces
+            piece[tail] = _TABLE_PIECES
         # every index is a valid piece; "clip" only spares take a buffered copy
         self.coef[self.degree].take(piece, out=out, mode="clip")
         for row in self.coef[self.degree - 1 :: -1]:
             out *= u
             out += row.take(piece, out=term, mode="clip")
         return out
+
+
+def _radii(u, index):
+    # r at local coordinates u of the pieces in index, one row per piece;
+    # piece _TABLE_PIECES is the tail
+    r = index[:, None] + u
+    r /= _INV_WIDTH
+    np.expm1(r, out=r)
+    r *= _TABLE_R0
+    r[index == _TABLE_PIECES] = _TABLE_END / u
+    return r
 
 
 def _scratch(size):
@@ -353,13 +352,12 @@ def _on_line(r, tau):
 
 @functools.lru_cache(maxsize=8)
 def _line_table(tau):
-    # the lowest degree, then the fewest pieces, whose table passes its check
+    # the lowest degree whose table passes its check
     for degree in _TABLE_DEGREES:
-        for pieces in _TABLE_PIECES:
-            try:
-                return _LineTable(tau, pieces, degree)
-            except InvalidConfig as exc:
-                refusal = exc
+        try:
+            return _LineTable(tau, degree)
+        except InvalidConfig as exc:
+            refusal = exc
     raise refusal
 
 

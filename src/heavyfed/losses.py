@@ -84,12 +84,10 @@ class Dataset:
 
 
 def _sigmoid(t):
-    out = np.empty_like(t, dtype=float)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    # 1 / (1 + exp(-t)) for t >= 0, exp(t) / (1 + exp(t)) below: the exp
+    # that cannot overflow on either side
+    e = np.exp(-np.abs(t))
+    return np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _check(model, w, data):

@@ -155,9 +155,15 @@ class TestValidation:
             "compressor.k",
             "set k explicitly for csv data (dimension unknown until load)",
         ),
+        (
+            {**_CSV, "data.feature_columns": "a, y"},
+            "data.feature_columns",
+            "feature columns name the label column 'y'",
+        ),
+        ({**_CSV, "data.feature_columns": "a, b, a"}, "data.feature_columns", "feature columns name 'a' more than once"),
         # the variance exp(2 mu + sigma^2) (exp(sigma^2) - 1) underflows to 0.0
         ({"data.noise_mu": -400.0}, "data.noise", "auto v needs a positive noise variance, got 0.0"),
-    ], ids=["bulyan-m2", "csv-label", "csv-topk-auto-k", "zero-variance"])
+    ], ids=["bulyan-m2", "csv-label", "csv-topk-auto-k", "csv-features-label", "csv-features-repeated", "zero-variance"])
     def test_a_refusal_names_its_key(self, overrides, fieldname, reason):
         with pytest.raises(ConfigError) as info:
             make_config(overrides)

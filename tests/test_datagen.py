@@ -264,6 +264,22 @@ class TestLoadCsv:
         with pytest.raises(MissingColumn):
             load_csv(path, CsvSchema(label_column="y", feature_columns=("a", "b")))
 
+    def test_repeated_header_is_refused(self, tmp_path):
+        # a name that maps to its first column would read [1, 1] as the features
+        path = tmp_path / "d.csv"
+        path.write_text("a,y,a\n1,2,3\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="header names column 'a' more than once"):
+            load_csv(path, CsvSchema(label_column="y"))
+
+    @pytest.mark.parametrize(
+        "features, reason",
+        [(("a", "y"), "the label column 'y'"), (("a", "b", "a"), "'a' more than once")],
+        ids=["label", "repeated"],
+    )
+    def test_feature_list_is_checked(self, features, reason):
+        with pytest.raises(InvalidConfig, match=reason):
+            CsvSchema(label_column="y", feature_columns=features)
+
     def test_add_bias(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("a,y\n2,3\n4,5\n", encoding="utf-8")

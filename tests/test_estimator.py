@@ -176,18 +176,46 @@ class TestLineTable:
 
     def test_too_coarse_table_is_refused(self):
         with pytest.raises(InvalidConfig, match="tau=16.9"):
-            estimator._LineTable(16.9, 8)
+            estimator._LineTable(16.9, 2)
 
-    @pytest.mark.parametrize("tau", [1e-4, 1e-2, 1.0, 16.902992986180593, 32.0, 1e3, 1e5])
+    # 0.0464 to 215: degree-4 taus whose check also passes at 2048 pieces
+    @pytest.mark.parametrize(
+        "tau", [1e-4, 1e-2, 0.0464, 0.1, 1.0, 16.902992986180593, 31.967, 32.0, 46.4, 100.0, 215.0, 1e3, 1e5]
+    )
     def test_the_lowest_degree_that_meets_the_tolerance(self, tau):
         table = estimator._line_table(tau)
-        assert table.degree in estimator._TABLE_DEGREES and table.pieces in estimator._TABLE_PIECES
+        assert table.degree in estimator._TABLE_DEGREES
         r = np.exp(np.random.default_rng(12).uniform(math.log(1e-6), math.log(1e6), 20000))
         got = estimator._smoothed_values(r, EstimatorParams(1.0, tau))
         assert np.abs(got - smoothed_truncate(r, r / math.sqrt(tau))).max() <= estimator._TABLE_TOL
-        if table.degree > estimator._TABLE_DEGREES[0]:  # the degree below misses at the most pieces
+        if table.degree > estimator._TABLE_DEGREES[0]:
             with pytest.raises(InvalidConfig, match=f"degree {table.degree - 1}"):
-                estimator._LineTable(tau, estimator._TABLE_PIECES[-1], table.degree - 1)
+                estimator._LineTable(tau, table.degree - 1)
+
+    @pytest.mark.parametrize(
+        "tau, degree",
+        [
+            (1e-4, 7), (1e-3, 5), (1e-2, 4), (0.0464, 4), (0.1, 4), (0.25, 3), (1.0, 3), (3.03, 3),
+            (16.903, 3), (25.0, 3), (31.967, 4), (46.4, 4), (100.0, 4), (215.0, 4), (1e3, 4),
+            (1e4, 5), (1e5, 6), (2e5, 7),
+        ],
+    )
+    def test_degree_across_the_tau_range(self, tau, degree):
+        assert estimator._line_table(tau).degree == degree
+
+    @pytest.mark.parametrize("tau, built", [(16.902992986180593, 1), (31.967, 2)])
+    def test_one_table_built_per_degree_tried(self, tau, built, monkeypatch):
+        degrees = []
+
+        class Counted(estimator._LineTable):
+            def __init__(self, tau, degree):
+                degrees.append(degree)
+                super().__init__(tau, degree)
+
+        monkeypatch.setattr(estimator, "_LineTable", Counted)
+        table = estimator._line_table.__wrapped__(tau)
+        assert degrees == list(estimator._TABLE_DEGREES[:built])
+        assert table.degree == degrees[-1]
 
     def test_robust_ref_tau_gets_a_low_degree(self):
         tau = default_params(n=100, m=10, d=10, v=0.5, diameter=10.0, lipschitz=1.0).tau

@@ -13,7 +13,7 @@ from heavyfed import (
     per_sample_gradients,
     per_sample_losses,
 )
-from heavyfed.losses import mean_gradients
+from heavyfed.losses import _sigmoid, mean_gradients
 from oracles import STACKED_MODELS, stacked_shards
 
 
@@ -71,6 +71,17 @@ class TestLogistic:
         out = per_sample_gradients(model, np.array([1000.0]), one_row([1.0], 1.0))[0]
         assert np.all(np.isfinite(out))
         assert per_sample_losses(model, np.array([1000.0]), one_row([1.0], -1.0))[0] == pytest.approx(1000.0)
+
+    def test_sigmoid_matches_its_two_branch_form_bit_for_bit(self):
+        # numpy's exp, not math.exp: the two differ in the last bit on about
+        # 2% of these inputs
+        rng = np.random.default_rng(14)
+        t = rng.standard_normal(20000) * 10.0 ** rng.integers(0, 4, 20000)
+        t = np.concatenate([t, [0.0, -0.0, np.inf, -np.inf, 710.0, -710.0, 750.0, -750.0]])
+        exp = np.exp
+        reference = np.array([1.0 / (1.0 + exp(-x)) if x >= 0 else exp(x) / (1.0 + exp(x)) for x in t])
+        assert _sigmoid(t).tobytes() == reference.tobytes()
+        assert np.isnan(_sigmoid(np.array([np.nan]))).all()
 
 
 class TestGradientConsistency:

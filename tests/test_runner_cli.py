@@ -191,8 +191,9 @@ class TestCli:
             ("a,b\n1,2\n", "label column 'y'"),
             ("a,y\n1,2\n3,oops\n", "row 3, column 'y'"),
             (None, "data.csv: cannot open: No such file or directory"),
+            ("a,y,a\n1,2,3\n", "header names column 'a' more than once"),
         ],
-        ids=["missing_column", "non_numeric_cell", "missing_file"],
+        ids=["missing_column", "non_numeric_cell", "missing_file", "repeated_header"],
     )
     def test_run_reports_a_data_error_in_one_line(self, tmp_path, capsys, table, names):
         # validate does not read the data, so the error first shows at run time
