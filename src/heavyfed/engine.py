@@ -14,7 +14,8 @@ at the start of the round, then the Byzantine re-encodes'.  The round's
 Byzantine set, from the adversary's own stream, is drawn before the local
 stage too, so the robust estimator evaluates only the ``(device,
 coordinate)`` entries the server reads: those the codec keeps, in the rows
-the attack does not overwrite (``adversary.REPLACES_ROW``).
+the attack does not overwrite (``adversary.REPLACES_ROW``), each summed
+along its own row of samples, so a skipped entry changes no other's bytes.
 Device computations are pure functions of (round state, shard, derived
 seed), so identical configs and seeds reproduce bit-identical metric streams.
 """

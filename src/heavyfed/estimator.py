@@ -11,9 +11,9 @@ coordinate-wise bounded second raw moment.
 estimator only ever evaluates it on the line ``b = |a| / sqrt(tau)``, an odd
 function of ``a`` alone for the run's fixed tau, so it reads it from a
 piecewise-Chebyshev table built from ``smoothed_truncate`` once per tau on
-first use, of the lowest degree that meets the table's tolerance.  Given a
-mask, ``robust_gradient`` builds and estimates only the samples of the
-entries it keeps.
+first use, of the lowest degree that meets the table's tolerance.
+``robust_gradient`` builds one row of samples per entry it estimates (every
+entry, or those a mask keeps) and sums each row along itself.
 """
 
 from __future__ import annotations
@@ -61,17 +61,20 @@ _B_TINY = 1e-300
 # is analytic in 1 / r.  The build checks every piece against
 # smoothed_truncate at _TABLE_CHECK points (at 8, a degree-3 table passed at
 # tau = 32, yet missed by 1.2e-12 between them) and refuses a table that
-# misses by more than _TABLE_TOL.  The kernel costs one Horner step per
-# degree, whatever the piece count, so _line_table takes the lowest degree in
-# _TABLE_DEGREES that passes, for about 1e-4 <= tau <= 2e5: degree 3 from
-# about 0.25 to 25, which holds robust-ref's 16.9, degree 4 at
-# compressed-logistic's 32, degree 7 at 1e-4.  Degree 2 misses by about 3e-10.
+# misses by more than _CHECK_TOL there: between them a table misses by up to
+# 1.16x that (90 taus, 1e5 random points each), within _TABLE_TOL.  The kernel
+# costs one Horner step per degree, whatever the piece count, so _line_table
+# takes the lowest degree in _TABLE_DEGREES that passes, for about 1e-4 <= tau
+# <= 2e5: degree 3 from about 0.25 to 20, which holds robust-ref's 16.9,
+# degree 4 at compressed-logistic's 32, degree 7 at 1e-4.  Degree 2 misses by
+# about 3e-10.
 _TABLE_DEGREES = range(3, 9)
 _TABLE_PIECES = 4096
 _TABLE_CHECK = 18
 _TABLE_R0 = 0.5
 _TABLE_END = 1e4
 _TABLE_TOL = 1e-12
+_CHECK_TOL = 0.8 * _TABLE_TOL
 _INV_WIDTH = _TABLE_PIECES / math.log1p(_TABLE_END / _TABLE_R0)  # pieces per unit of z
 
 # Points per smoothed_truncate call in the build.  Its closed form and
@@ -269,10 +272,10 @@ class _LineTable:
         self.coef[0, 0] = 0.0
         self.coef.flags.writeable = False
         miss = self._miss(tau)
-        if not miss <= _TABLE_TOL:
+        if not miss <= _CHECK_TOL:
             raise InvalidConfig(
                 f"estimator table for tau={tau} misses smoothed_truncate by {miss:.2g} "
-                f"with {_TABLE_PIECES} pieces of degree {degree} (tolerance {_TABLE_TOL:g})"
+                f"with {_TABLE_PIECES} pieces of degree {degree} (check tolerance {_CHECK_TOL:g})"
             )
 
     def _miss(self, tau):
@@ -286,7 +289,7 @@ class _LineTable:
             q = r / _TABLE_R0
             got = self.magnitude(q, np.empty_like(q), _scratch(q.size))
             miss = max(miss, np.abs(got - _on_line(r, tau)).max())
-            if not miss <= _TABLE_TOL:
+            if not miss <= _CHECK_TOL:
                 break
         return miss
 
@@ -350,9 +353,10 @@ def _on_line(r, tau):
     return out.reshape(np.shape(r))
 
 
-@functools.lru_cache(maxsize=8)
+@functools.cache
 def _line_table(tau):
-    # the lowest degree whose table passes its check
+    # the lowest degree whose table passes its check, kept for the life of the
+    # process: a table is at most 4097 x 9 doubles (295 KB), a build 33-130 ms
     for degree in _TABLE_DEGREES:
         try:
             return _LineTable(tau, degree)
@@ -387,31 +391,20 @@ def robust_gradient(model, w, data, params: EstimatorParams, keep=None) -> np.nd
     to that coordinate of the per-sample gradients over ``data``.  Stacked
     shards ``(m, n, p)`` give one row per shard, ``(m, dim)``.
 
-    ``keep``, a boolean mask of the result's shape, evaluates the estimator
-    only on the samples of the entries it keeps and returns 0.0 elsewhere:
-    byte for byte ``np.where(keep, robust_gradient(...), 0.0)``.
+    ``keep``, a boolean mask of the result's shape (``None``: every entry),
+    names the entries to estimate, each from one row of its samples summed
+    along itself, and 0.0 elsewhere: byte for byte ``np.where(keep,
+    robust_gradient(...), 0.0)``.
     """
     if len(data) == 0:
         raise EmptyInput("robust_gradient needs a non-empty dataset")
-    if keep is None:
-        return params.s * _smoothed_values(per_sample_gradients(model, w, data), params).mean(axis=-2)
     shape = data.labels.shape[:-1] + (model.dim,)
-    if np.shape(keep) != shape:
+    if keep is None:
+        keep = np.ones(shape, dtype=bool)
+    elif np.shape(keep) != shape:
         raise DimensionMismatch(f"keep mask of shape {np.shape(keep)} for a result of shape {shape}")
     entries = np.nonzero(keep)
     values = _smoothed_values(per_sample_gradients(model, w, data, entries), params)
-    # One row of samples per kept entry, each summed as the mean above sums
-    # it.  numpy adds along a contiguous axis pairwise and along any other in
-    # turn, from +0.0; the full tensor's sample axis is contiguous only when
-    # dim == 1.  Summing in turn with accumulate starts from the first sample
-    # instead, which differs only where every sample is -0.0: adding +0.0
-    # mends that.
-    if model.dim == 1:
-        sums = np.add.reduce(values, axis=-1)
-    elif len(values) == 1:  # a one-column transpose would be contiguous
-        sums = np.add.accumulate(values, axis=-1)[:, -1] + 0.0
-    else:
-        sums = np.add.reduce(np.ascontiguousarray(values.T), axis=0)
     out = np.zeros(shape)
-    out[entries] = params.s * (sums / len(data))
+    out[entries] = params.s * (np.add.reduce(values, axis=-1) / len(data))
     return out

@@ -51,10 +51,13 @@ class RunSummary:
         return {**asdict(self), "failed": [{"rep": r, "round": t} for r, t in self.failed]}
 
 
-def _std(values) -> float:
-    if len(values) < 2:
-        return 0.0
-    return float(np.std(values, ddof=1))
+def _std(rows) -> list[float]:
+    # sample standard deviation of each row (0.0 below two values); on contiguous
+    # rows np.std sums each row as it sums that row alone, not in turn
+    rows = np.ascontiguousarray(rows)
+    if rows.shape[1] < 2:
+        return [0.0] * len(rows)
+    return [float(x) for x in np.std(rows, axis=1, ddof=1)]
 
 
 def run_repetitions(config: ExperimentConfig):
@@ -71,10 +74,9 @@ def run_repetitions(config: ExperimentConfig):
     streams = [runs[i] for i in completed]
     if streams:
         losses = np.array([[rm.test_loss for rm in stream] for stream in streams])
-        finals = losses[:, -1]
         per_round_mean = [float(x) for x in losses.mean(axis=0)]
-        per_round_std = [_std(losses[:, j]) for j in range(losses.shape[1])]
-        final_mean, final_std = float(finals.mean()), _std(finals)
+        per_round_std = _std(losses.T)
+        final_mean, final_std = float(losses[:, -1].mean()), per_round_std[-1]
         total_bytes = int(sum(rm.bytes_up for stream in streams for rm in stream))
     else:
         per_round_mean, per_round_std = [], []

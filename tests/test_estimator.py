@@ -196,8 +196,8 @@ class TestLineTable:
         "tau, degree",
         [
             (1e-4, 7), (1e-3, 5), (1e-2, 4), (0.0464, 4), (0.1, 4), (0.25, 3), (1.0, 3), (3.03, 3),
-            (16.903, 3), (25.0, 3), (31.967, 4), (46.4, 4), (100.0, 4), (215.0, 4), (1e3, 4),
-            (1e4, 5), (1e5, 6), (2e5, 7),
+            (16.903, 3), (25.0, 4), (31.967, 4), (46.4, 4), (100.0, 4), (215.0, 4), (1e3, 4),
+            (1e4, 5), (1e5, 7), (2e5, 7),
         ],
     )
     def test_degree_across_the_tau_range(self, tau, degree):
@@ -216,6 +216,33 @@ class TestLineTable:
         table = estimator._line_table.__wrapped__(tau)
         assert degrees == list(estimator._TABLE_DEGREES[:built])
         assert table.degree == degrees[-1]
+
+    def test_the_check_margin_holds_between_the_check_points(self):
+        # at this tau the degree-5 table meets 1e-12 at its check points
+        # (9.34e-13) but misses by 1.04e-12 at these random points; the
+        # check's margin moves the tau to degree 6
+        tau = 29173.084879937058
+        assert estimator._line_table(tau).degree == 6
+        r = np.exp(np.random.default_rng(47).uniform(math.log(1e-6), math.log(1e6), 100000))
+        got = estimator._smoothed_values(r, EstimatorParams(1.0, tau))
+        assert np.abs(got - smoothed_truncate(r, r / math.sqrt(tau))).max() <= estimator._TABLE_TOL
+
+    def test_every_tau_keeps_its_table(self, monkeypatch):
+        # a cache of eight tables rebuilt the first of nine taus
+        built = []
+
+        class Counted(estimator._LineTable):
+            def __init__(self, tau, degree):
+                built.append(tau)
+                super().__init__(tau, degree)
+
+        monkeypatch.setattr(estimator, "_LineTable", Counted)
+        taus = [2.001 + k / 7.0 for k in range(9)]  # degree-3 taus no other test asks for
+        first = estimator._line_table(taus[0])
+        for tau in taus[1:]:
+            estimator._line_table(tau)
+        assert estimator._line_table(taus[0]) is first
+        assert built == taus
 
     def test_robust_ref_tau_gets_a_low_degree(self):
         tau = default_params(n=100, m=10, d=10, v=0.5, diameter=10.0, lipschitz=1.0).tau
@@ -378,6 +405,11 @@ class TestRobustGradient:
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
     @settings(max_examples=200, deadline=None)
+    # one kept entry, dim == 1 and n == 1 on every run, not only when drawn
+    @example(model=LossModel("linear", 3), m=3, n=9, kept="one", s=1.0, seed=1)
+    @example(model=LossModel("logistic", 1), m=3, n=8, kept="some", s=0.01, seed=2)
+    @example(model=LossModel("mlp", 2, hidden=2, objective="logistic"), m=None, n=1, kept="some", s=1.0, seed=3)
+    @example(model=LossModel("linear", 1), m=None, n=1, kept="one", s=100.0, seed=4)
     def test_keep_mask_equals_masking_the_full_estimate(self, model, m, n, kept, s, seed):
         shards, w = stacked_shards(model, m=m or 1, n=n, seed=seed)
         data = shards if m else Dataset(shards.features[0], shards.labels[0])
@@ -397,16 +429,18 @@ class TestRobustGradient:
         assert masked.shape == full.shape
         assert masked.tobytes() == np.where(keep, full, 0.0).tobytes()
 
-    def test_keep_mask_sums_signed_zeros_as_the_mean_does(self):
+    @pytest.mark.parametrize("n", [1, 2, 9])
+    def test_keep_mask_sums_signed_zeros_as_the_full_estimate_does(self, n):
         # a perfect fit's per-sample gradients are -0.0 at negative features;
-        # the unmasked mean sums them from +0.0
+        # a kept entry's sum must carry the sign that keep=None gives it
         model = LossModel("linear", 3)
-        X = np.array([[-1.0, 2.0, -3.0]])
+        X = np.tile([[-1.0, 2.0, -3.0]], (n, 1))
         w = np.array([0.5, 0.25, 1.0])
         data = Dataset(X, X @ w)
         params = EstimatorParams(1.0, 16.9)
         full = robust_gradient(model, w, data, params)
-        for keep in (np.ones(3, dtype=bool), np.array([True, False, False])):
+        assert np.all(full == 0.0)
+        for keep in (np.ones(3, dtype=bool), np.array([True, False, False]), np.array([False, False, True])):
             masked = robust_gradient(model, w, data, params, keep=keep)
             assert masked.tobytes() == np.where(keep, full, 0.0).tobytes()
 

@@ -70,15 +70,15 @@ GOLDEN = {
     "baseline-krum": "d390c01c92f7fe5c7c941fbf2525084faa3815f8ab2077e2e8a84c230b3db358",
     "baseline-mean": "506f878d2c365c31ba5187e54493a9b3a0fcb6948cdbddf45cfd98575cfc8d71",
     "baseline-mkrum": "dcac7469a2bd9d24fe5ac4f00ff4f4692c69fc5ce6b44dc2d6ba85b364c1e03f",
-    "compressed-identity": "10cf6eefc2474e9101633565b54a7f78fbfa749098bef7c9285ef592c698bbfc",
-    "compressed-l1": "8013df38207638a27aa00d55b3d143dcab17f46b3d5ebaae97acd2ffcb6c9b53",
-    "compressed-randk": "e357578f7a2d0f5b260b96b8379501ff5f30b5c47f82470b678d81993f0fe40d",
-    "compressed-randk-gaussian": "d24ab807b99e332258694a950885506dddb8c0131c156b099388cc7cc5111853",
+    "compressed-identity": "e5f1c2abdfd079c6f1b44ba0921851c102280c541cbd377779d36b454afb9ec4",
+    "compressed-l1": "a1cf9cd53be1634fcbb71783ee452aabfe7df44e468b6f16476ee8bf41ea067f",
+    "compressed-randk": "e6da3470224e509ffbe4e72c949d47b144d94ade64a2c599315570e51a232f45",
+    "compressed-randk-gaussian": "a2bc0ee4bcd1866551d432feb69dbe1555db28fd7bcc9a4e59173a861cfaf8d3",
     "compressed-randk-logistic": "ab311b84eb6cb6c0371ecc7fd372a6819e4f27cdcce9a511e9ed7b1e8da1dfd0",
-    "compressed-topk": "1a033971aca3264bf8f8c4e9bb32297a2ab6d4b4251635e9566409e6cb8b87af",
-    "robust": "959545a9e7db15d01e38c2615fe7894c2a25e3e9902ba85bbe1bce4bad5e7b9f",
+    "compressed-topk": "348917e47da5666734f4cef7f045ab6dbcf6a559c05047775761dabc38702082",
+    "robust": "3cbf0b32ab98200fda4ef8b9fcdfec716a34f572f0d8fb6b1795f7f9e274416f",
     "robust-logistic-dynamic": "c2343a8f9e35ad12d3a1676aeea6570cf48265e22870f35335dd497282a733f5",
-    "robust-randk-ignored": "959545a9e7db15d01e38c2615fe7894c2a25e3e9902ba85bbe1bce4bad5e7b9f",
+    "robust-randk-ignored": "3cbf0b32ab98200fda4ef8b9fcdfec716a34f572f0d8fb6b1795f7f9e274416f",
 }
 
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from heavyfed import make_config, run, run_experiment, run_repetitions, sweep
+from heavyfed import make_config, run, run_experiment, run_repetitions, runner, sweep
 from heavyfed.cli import main
 
 
@@ -59,6 +59,17 @@ class TestRunRepetitions:
         assert summary.completed == []
         assert [rep for rep, _ in summary.failed] == [0, 1, 2]
         assert summary.final_loss_mean is None
+
+    def test_per_round_std_equals_one_std_per_round_bit_for_bit(self):
+        # one np.std over the contiguous (rounds, reps) rows gives the bytes of
+        # one np.std per round; np.std(losses, axis=0) adds in another order
+        rng = np.random.default_rng(25)
+        for _ in range(400):
+            reps, rounds = int(rng.integers(2, 25)), int(rng.integers(1, 40))
+            losses = rng.lognormal(0.0, rng.uniform(0.1, 3.0), size=(reps, rounds))
+            per_round = [float(np.std(losses[:, j], ddof=1)) for j in range(rounds)]
+            assert runner._std(losses.T) == per_round
+        assert runner._std(np.ones((3, 1))) == [0.0, 0.0, 0.0]
 
 
 class TestRunExperiment:
