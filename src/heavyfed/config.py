@@ -156,10 +156,10 @@ KEYS = {
     "data.noise_scale": Key("1.0", _float),
     "data.noise_shape": Key("3.26953", _float),
     "data.path": Key("", _blank(_text), "csv_path"),
-    "data.label_column": Key("", _blank(_text), "csv_label"),
-    "data.feature_columns": Key("", _columns, "csv_features"),
-    "data.standardize": Key("false", _bool, "csv_standardize"),
-    "data.add_bias": Key("false", _bool, "csv_add_bias"),
+    "data.label_column": Key("", _blank(_text)),
+    "data.feature_columns": Key("", _columns),
+    "data.standardize": Key("false", _bool),
+    "data.add_bias": Key("false", _bool),
     "estimator.v": Key("auto", _auto(_positive)),
     "estimator.diameter": Key("10.0", _positive, "diameter"),
     "estimator.lipschitz": Key("1.0", _positive, "lipschitz"),
@@ -220,10 +220,7 @@ class ExperimentConfig:
     feature_sigma: float
     noise: NoiseSpec
     csv_path: str | None
-    csv_label: str | None
-    csv_features: tuple | None
-    csv_standardize: bool
-    csv_add_bias: bool
+    csv: CsvSchema | None  # None: synthetic data
     rounds: int
     eta: float | None
     smoothness: float | None
@@ -304,17 +301,14 @@ def _resolve(raw: dict) -> ExperimentConfig:
 
     if source == "synthetic" and model_kind == "mlp":
         _fail("model.kind", "synthetic data generation supports linear and logistic models only")
+    csv = None
     if source == "csv":
         if value["data.path"] is None:
             _fail("data.path", "csv source requires a file path")
         if value["data.label_column"] is None:
             _fail("data.label_column", "csv source requires a label column")
-        _checked(
-            "data.feature_columns",
-            CsvSchema,
-            label_column=value["data.label_column"],
-            feature_columns=value["data.feature_columns"],
-        )
+        # each CsvSchema field is filled by the [data] key of its name
+        csv = _checked("data.feature_columns", CsvSchema, **{f.name: value[f"data.{f.name}"] for f in fields(CsvSchema)})
     if model_kind == "mlp" and value["experiment.eta"] is None and value["experiment.smoothness"] is None:
         _fail("experiment.eta", "mlp runs need eta or smoothness set explicitly")
     s, tau = value["estimator.s"], value["estimator.tau"]
@@ -378,7 +372,7 @@ def _resolve(raw: dict) -> ExperimentConfig:
 
     filled = {row.field: value[key] for key, row in KEYS.items() if row.field}
     return ExperimentConfig(
-        **filled, feature_sigma=feature_sigma, noise=noise, v=v, manual_schedule=manual_schedule,
+        **filled, csv=csv, feature_sigma=feature_sigma, noise=noise, v=v, manual_schedule=manual_schedule,
         aggregator=aggregator, compressor=compressor, attack=attack, raw=dict(raw)
     )
 

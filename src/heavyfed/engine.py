@@ -29,7 +29,7 @@ import numpy as np
 
 from . import adversary, aggregation, compression
 from .config import ExperimentConfig
-from .datagen import CsvSchema, SyntheticSpec, draw_w_star, gen_synthetic, load_csv, partition, split_train_test
+from .datagen import SyntheticSpec, draw_w_star, gen_synthetic, load_csv, partition, split_train_test
 from .errors import InvalidConfig, NonFiniteState
 from .estimator import robust_gradient
 from .losses import LossModel, empirical_risk, mean_gradients, per_sample_gradients
@@ -104,13 +104,7 @@ def build_data(config: ExperimentConfig, rep: int = 0):
         train, test = gen_synthetic(spec, seed)
         w_star = spec.w_star
     else:
-        schema = CsvSchema(
-            label_column=config.csv_label,
-            feature_columns=config.csv_features,
-            standardize=config.csv_standardize,
-            add_bias=config.csv_add_bias,
-        )
-        train, test = split_train_test(load_csv(config.csv_path, schema), config.test_samples, seed)
+        train, test = split_train_test(load_csv(config.csv_path, config.csv), config.test_samples, seed)
         w_star = None
     model = LossModel(config.model_kind, train.features.shape[1], config.mlp_hidden, config.mlp_objective)
     return train, test, w_star, model

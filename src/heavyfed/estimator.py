@@ -353,16 +353,24 @@ def _on_line(r, tau):
     return out.reshape(np.shape(r))
 
 
-@functools.cache
 def _line_table(tau):
     # the lowest degree whose table passes its check, kept for the life of the
-    # process: a table is at most 4097 x 9 doubles (295 KB), a build 33-130 ms
+    # process: a table is at most 4097 x 9 doubles (295 KB), a build 33-130 ms;
+    # a refused tau keeps its refusal, which took 75-150 ms over every degree
+    table = _table_or_refusal(tau)
+    if isinstance(table, str):
+        raise InvalidConfig(table)
+    return table
+
+
+@functools.cache
+def _table_or_refusal(tau):
     for degree in _TABLE_DEGREES:
         try:
             return _LineTable(tau, degree)
         except InvalidConfig as exc:
-            refusal = exc
-    raise refusal
+            refusal = str(exc)
+    return refusal
 
 
 def _smoothed_values(x, params: EstimatorParams):

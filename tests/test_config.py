@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from heavyfed import (
     ConfigError,
+    CsvSchema,
     aggregate,
     apply_axis,
     config_digest,
@@ -119,6 +120,11 @@ class TestValidation:
         text = "[data]\nsource = csv\npath = x.csv\nlabel_column = y\n"
         with pytest.raises(ConfigError, match="estimator.v"):
             parse_config(write(tmp_path, text))
+
+    def test_csv_keys_fill_one_schema(self):
+        cfg = make_config({**_CSV, "data.feature_columns": "b, a", "data.standardize": True, "data.add_bias": True})
+        assert cfg.csv == CsvSchema(label_column="y", feature_columns=("b", "a"), standardize=True, add_bias=True)
+        assert make_config().csv is None
 
     @pytest.mark.parametrize("overrides", [
         {"experiment.algorithm": "baseline"},
@@ -401,6 +407,16 @@ _UNREAD = {
     "data.add_bias": ({}, {"data.add_bias": True}),
 }
 
+# Unread keys that _resolve itself leaves out of the config it builds.
+_RESOLVED_AWAY = (
+    "aggregator.kind",
+    "compressor.kind",
+    "data.label_column",
+    "data.feature_columns",
+    "data.standardize",
+    "data.add_bias",
+)
+
 
 class TestUnreadKeys:
     def test_every_key_a_run_can_leave_unread_has_a_case(self):
@@ -424,9 +440,10 @@ class TestUnreadKeys:
         assert config_digest(configs["changed"]) == config_digest(configs["plain"])
         # resolved without the reset to defaults, the spec carries the change,
         # and the run must still not read it; a kind the preset fixes is taken
-        # from the preset by _resolve itself, so that config equals the plain one
+        # from the preset by _resolve itself, and synthetic data builds no csv
+        # schema, so those configs equal the plain one
         configs["carried"] = _resolve({**configs["plain"].raw, **{k: str(v) for k, v in change.items()}})
-        assert (configs["carried"] == configs["plain"]) == (key in ("aggregator.kind", "compressor.kind"))
+        assert (configs["carried"] == configs["plain"]) == (key in _RESOLVED_AWAY)
         for name, cfg in configs.items():
             run_experiment(cfg, tmp_path / name)
         assert len({(tmp_path / name / "rounds.csv").read_bytes() for name in configs}) == 1
@@ -470,8 +487,11 @@ class TestKeyTable:
             },
             {"data.noise": "pareto", "data.noise_scale": 2.0, "data.noise_shape": 4.0},
             {"estimator.s": 1.5, "estimator.tau": 4.0},
+            # the ends of the tau range: degree 7, and degree 6 by the check's margin
+            {"estimator.s": 1.0, "estimator.tau": 1e-4},
+            {"estimator.s": 1.0, "estimator.tau": 29173.084879937058},
         ]
-        assert len(cases) == 106
+        assert len(cases) == 108
         for overrides in cases:
             cfg = make_config(overrides)
             assert config_digest(parse_config(write(tmp_path, echo_config(cfg)))) == config_digest(cfg), overrides

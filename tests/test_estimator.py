@@ -213,7 +213,7 @@ class TestLineTable:
                 super().__init__(tau, degree)
 
         monkeypatch.setattr(estimator, "_LineTable", Counted)
-        table = estimator._line_table.__wrapped__(tau)
+        table = estimator._table_or_refusal.__wrapped__(tau)
         assert degrees == list(estimator._TABLE_DEGREES[:built])
         assert table.degree == degrees[-1]
 
@@ -244,6 +244,24 @@ class TestLineTable:
         assert estimator._line_table(taus[0]) is first
         assert built == taus
 
+    def test_a_refused_tau_keeps_its_refusal(self, monkeypatch):
+        # a refused config parse or sweep value must not search degrees 3-8 again
+        built = []
+
+        class Counted(estimator._LineTable):
+            def __init__(self, tau, degree):
+                built.append(degree)
+                super().__init__(tau, degree)
+
+        monkeypatch.setattr(estimator, "_LineTable", Counted)
+        messages = []
+        for _ in range(2):
+            with pytest.raises(InvalidConfig, match="tau=4000000.0 .* of degree 8") as info:
+                estimator._line_table(4e6)  # a refused tau no other test asks for
+            messages.append(str(info.value))
+        assert built == list(estimator._TABLE_DEGREES)
+        assert messages[0] == messages[1]
+
     def test_robust_ref_tau_gets_a_low_degree(self):
         tau = default_params(n=100, m=10, d=10, v=0.5, diameter=10.0, lipschitz=1.0).tau
         assert estimator._line_table(tau).degree <= 4
@@ -258,7 +276,7 @@ class TestLineTable:
         # robust-ref's tau and 25 MB at 1e-4 (tracemalloc)
         tracemalloc.start()
         try:
-            estimator._line_table.__wrapped__(tau)
+            estimator._table_or_refusal.__wrapped__(tau)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -32,6 +32,10 @@ CASES = {
     # robust runs send dense uploads: a configured compressor is ignored
     "robust-randk-ignored": {**ROBUST, "compressor.kind": "randk", "compressor.p": 0.5},
     "robust-logistic-dynamic": {**ROBUST, "model.kind": "logistic", "data.d": 5, "attack.dynamic": True},
+    "robust-d1": {**ROBUST, "data.d": 1},
+    "robust-attack-free": {**ROBUST, "attack.alpha": 0.0},
+    # the one attack whose Byzantine rows the robust estimator still estimates
+    "robust-gaussian": {**ROBUST, "attack.kind": "gaussian_noise"},
     "compressed-identity": {**COMPRESSED, "compressor.kind": "identity"},
     "compressed-topk": {**COMPRESSED, "compressor.kind": "topk", "compressor.k": 4},
     "compressed-randk": {**COMPRESSED, "compressor.kind": "randk", "compressor.p": 0.3, "attack.dynamic": True},
@@ -77,6 +81,9 @@ GOLDEN = {
     "compressed-randk-logistic": "ab311b84eb6cb6c0371ecc7fd372a6819e4f27cdcce9a511e9ed7b1e8da1dfd0",
     "compressed-topk": "348917e47da5666734f4cef7f045ab6dbcf6a559c05047775761dabc38702082",
     "robust": "3cbf0b32ab98200fda4ef8b9fcdfec716a34f572f0d8fb6b1795f7f9e274416f",
+    "robust-attack-free": "ac565a7c954d3b01da4174bafcfc9a59cf73fd5aa65ddda59493e5c2cca05acd",
+    "robust-d1": "50de6a8a3a23f24139b79a8270cf76740cd7f3de4f8c0e44eb557c7ccd337b56",
+    "robust-gaussian": "5df8e394cf30ec3003d7334b500474424226e0a7e22fa826e2d3648101a3a0f5",
     "robust-logistic-dynamic": "c2343a8f9e35ad12d3a1676aeea6570cf48265e22870f35335dd497282a733f5",
     "robust-randk-ignored": "3cbf0b32ab98200fda4ef8b9fcdfec716a34f572f0d8fb6b1795f7f9e274416f",
 }

@@ -1,6 +1,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -308,3 +312,35 @@ class TestCli:
 
     def test_missing_config_file(self, capsys):
         assert main(["run", "/nonexistent/exp.ini"]) == 1
+
+    @pytest.mark.parametrize(
+        "args, text, status, err",
+        [
+            (["validate", "exp.ini"], "", 0, None),
+            (["validate", "exp.ini"], "[estimator]\ns = 1\ntau = 1e200\n", 1, "config error: estimator.tau: "),
+            (
+                ["run", "exp.ini", "--out", "out"],
+                "[data]\nsource = csv\npath = nolabel.csv\nlabel_column = y\n[estimator]\nv = 1\n",
+                1,
+                "error: ",
+            ),
+        ],
+        ids=["empty_config", "config_error", "data_error"],
+    )
+    def test_the_module_exits_with_its_status_and_no_traceback(self, tmp_path, args, text, status, err):
+        # what a call of main in this process cannot see: the exit status of
+        # `python -m heavyfed.cli` and a stderr free of any traceback
+        (tmp_path / "exp.ini").write_text(text, encoding="utf-8")
+        (tmp_path / "nolabel.csv").write_text("a,b\n1,2\n", encoding="utf-8")
+        src = str(Path(runner.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-m", "heavyfed.cli", *args], cwd=tmp_path, env=env, capture_output=True, text=True
+        )
+        assert done.returncode == status
+        if err is None:
+            assert done.stderr == "" and done.stdout.startswith("[experiment]\n")
+            return
+        assert done.stderr.startswith(err) and done.stderr.count("\n") == 1
+        assert "Traceback" not in done.stderr
+        assert not (tmp_path / "out").exists()
