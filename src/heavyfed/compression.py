@@ -8,9 +8,9 @@ these counts, not serialized wire bytes.
 
 The codec works on the whole ``(m, d)`` upload array at once: ``encode``
 turns it into its wire payload (``compress``) and back (``decompress``), and
-``nominal_bytes`` prices the kept counts it reports.  Random-k's choice of
-positions does not depend on the values, so ``keep_mask`` draws it before
-the uploads exist, and ``encode`` codes them with it: the codec draws nothing.
+``nominal_bytes`` prices the kept counts it reports.  A position the receiver
+can derive costs nothing: ``keep_mask`` draws random-k's, which do not depend
+on the values, from a stream the server repeats.  The codec draws nothing.
 """
 
 from __future__ import annotations
@@ -117,11 +117,11 @@ def decompress(spec: CompressorSpec, payload) -> np.ndarray:
 def nominal_bytes(spec: CompressorSpec, kept) -> int:
     """Upload size under the nominal accounting rule, from ``encode``'s kept counts.
 
-    Dense: 8 bytes per coordinate.  Sparse: 12 bytes per kept coordinate
-    (8-byte value + 4-byte index), whatever its value.  Sign-quantized: per
-    row one 8-byte scale plus a packed sign bitmap.
+    Dense and random-k (positions from the shared keep mask): 8 bytes per sent
+    value, whatever its value.  Top-k: 12 (8-byte value + 4-byte index).
+    Sign-quantized: per row one 8-byte scale plus a packed sign bitmap.
     """
     kept = np.asarray(kept)
     if spec.kind == "l1":
         return 8 * kept.size + int(((kept + 7) // 8).sum())
-    return (8 if spec.kind == "identity" else 12) * int(kept.sum())
+    return (12 if spec.kind == "topk" else 8) * int(kept.sum())

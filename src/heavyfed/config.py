@@ -479,8 +479,9 @@ def echo_config(config: ExperimentConfig) -> str:
 
 
 def config_digest(config: ExperimentConfig) -> str:
-    """Stable short digest identifying a resolved configuration."""
-    return hashlib.sha256(echo_config(config).encode("utf-8")).hexdigest()[:16]
+    """Stable short digest identifying a resolved configuration, wherever its run is written."""
+    echo = echo_config(replace(config, raw={**config.raw, "experiment.out_dir": KEYS["experiment.out_dir"].default}))
+    return hashlib.sha256(echo.encode("utf-8")).hexdigest()[:16]
 
 
 _ALIASES = {"alpha": "attack.alpha", "sigma_x": "data.feature_sigma"}  # axis names of two keys, and CSV headers

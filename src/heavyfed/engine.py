@@ -9,10 +9,10 @@ rule from the config.  The local stage evaluates every device in one
 batched call over the stacked ``(m, n, p)`` shards, and the codec encodes
 the whole array in one call.  ``run`` builds every generator a stage draws
 from; the codec and the adversary draw from nothing else.  Random-k's keep
-masks come from one stream per round (not one per device): every upload's
-at the start of the round, then the Byzantine re-encodes'.  The round's
-Byzantine set, from the adversary's own stream, is drawn before the local
-stage too, so the robust estimator evaluates only the ``(device,
+mask comes from one stream per round, which the server repeats: uploads,
+Byzantine ones too, carry values only, at their own device's positions.  The
+round's Byzantine set, from the adversary's own stream, is drawn before the
+local stage too, so the robust estimator evaluates only the ``(device,
 coordinate)`` entries the server reads: those the codec keeps, in the rows
 the attack does not overwrite (``adversary.REPLACES_ROW``), each summed
 along its own row of samples, so a skipped entry changes no other's bytes.
@@ -167,16 +167,16 @@ def _without_rows(keep, rows, shape):
     return mask
 
 
-def _uplink(codec, uploads, keep, attack, byz, adv_rng, codec_rng):
+def _uplink(codec, uploads, keep, attack, byz, adv_rng):
     """Codec and adversary stages: the ``(m, d)`` vectors the server decodes, and the bytes sent."""
     vectors, kept = compression.encode(codec, uploads, mask=keep)
     vectors = adversary.corrupt(attack, vectors, byz, adv_rng)
     if byz and codec.kind != "identity":
-        # Byzantine devices choose their own wire message; it is emitted in the
-        # run's message format, and its bytes replace the honest message's.
+        # Byzantine devices choose their own wire message, in the run's format
+        # (random-k: at the device's own positions, the only ones the server
+        # decodes), and its bytes replace the honest message's.
         rows = sorted(byz)
-        mask = compression.keep_mask(codec, (len(rows), uploads.shape[1]), codec_rng)
-        vectors[rows], kept[rows] = compression.encode(codec, vectors[rows], mask=mask)
+        vectors[rows], kept[rows] = compression.encode(codec, vectors[rows], mask=None if keep is None else keep[rows])
     return vectors, compression.nominal_bytes(codec, kept)
 
 
@@ -215,13 +215,12 @@ def run(config: ExperimentConfig, rep: int = 0) -> list[RoundMetrics]:
 
     metrics = [snapshot(0, 0, 0.0, w)]
     for t in range(config.rounds):
-        # one codec stream per round: every device's keep mask, then the Byzantine re-encodes
-        codec_rng = _round_rng(codec.kind == "randk", comp_seed, (t,))
-        keep = compression.keep_mask(codec, (m, d), codec_rng)
+        # one codec stream per round: every device's keep mask
+        keep = compression.keep_mask(codec, (m, d), _round_rng(codec.kind == "randk", comp_seed, (t,)))
         byz = byzantine_set((1 + t,)) if dynamic else static_byz
         uploads = local(w, _without_rows(keep, byz, (m, d)) if skip_byz else keep)
         adv_rng = _round_rng(config.attack.kind == "gaussian_noise", adv_seed, (t, 1))
-        vectors, bytes_up = _uplink(codec, uploads, keep, config.attack, byz, adv_rng, codec_rng)
+        vectors, bytes_up = _uplink(codec, uploads, keep, config.attack, byz, adv_rng)
         agg_vec = aggregation.aggregate(rule, vectors)
         w_next = project(w - eta * agg_vec, config.space_radius)
         if not np.all(np.isfinite(w_next)):

@@ -262,13 +262,14 @@ class TestBytes:
         assert sparse.sum() * 2 == dense.sum()
 
     def test_randk_kept_zero_still_costs_a_value(self):
-        # p = 1 keeps every coordinate: zeros in the input are sent and paid for
+        # p = 1 keeps every coordinate: zeros in the input are sent and paid for,
+        # 8 bytes a value, as the positions come from the shared keep mask
         spec = CompressorSpec(kind="randk", p=1.0)
         U = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
         wire, kept = encode(spec, U, mask=keep_mask(spec, U.shape, np.random.default_rng(0)))
         assert np.count_nonzero(wire) == 1
         assert np.array_equal(kept, [3, 3])
-        assert nominal_bytes(spec, kept) == 12 * 6
+        assert nominal_bytes(spec, kept) == 8 * 6
 
 
 class TestEffectiveDeltaPerRow:

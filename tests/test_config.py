@@ -298,6 +298,15 @@ class TestDigest:
         assert config_digest(a) == config_digest(b)
         assert config_digest(a) != config_digest(c)
 
+    def test_out_dir_is_not_part_of_the_digest(self):
+        # where a run is written does not change what it computes, through
+        # experiment.out_dir as through --out
+        a = make_config({"experiment.rounds": 7})
+        b = make_config({"experiment.rounds": 7, "experiment.out_dir": "elsewhere/runs"})
+        assert b.out_dir == "elsewhere/runs"
+        assert config_digest(a) == config_digest(b)
+        assert "out_dir = elsewhere/runs" in echo_config(b)
+
 
 # Digests of every preset under every aggregator kind at alpha = 0.2, m = 10,
 # in the order of _BETA_F: beta and f auto, beta explicit, f explicit, both.

@@ -380,12 +380,11 @@ class TestByzantineSets:
             "attack.dynamic": dynamic,
         })
         run(cfg)
-        # the Byzantine re-encodes draw their own keep masks after the round's first
-        round_keeps = kept[:: 2 if codec == "randk" else 1]
-        assert len(masks) == len(round_keeps) == len(sets) == 6
+        # one keep mask per round: the Byzantine re-encodes draw none of their own
+        assert len(masks) == len(kept) == len(sets) == 6
         assert all(len(byz) == 2 for byz in sets)
         assert (len(set(sets)) > 1) == dynamic
-        for mask, keep, byz in zip(masks, round_keeps, sets):
+        for mask, keep, byz in zip(masks, kept, sets):
             if not skipped:
                 assert mask is keep
                 continue
@@ -447,7 +446,9 @@ class TestCompressedRun:
 
     @pytest.mark.parametrize("dynamic", [False, True])
     @pytest.mark.parametrize("attack", ATTACK_KINDS)
-    def test_byzantine_bytes_replace_honest_bytes(self, attack, dynamic):
+    def test_byzantine_bytes_replace_honest_bytes(self, monkeypatch, attack, dynamic):
+        from heavyfed import adversary, aggregation, compression
+
         base = {
             "experiment.algorithm": "robust_compressed",
             "experiment.rounds": 4,
@@ -462,6 +463,33 @@ class TestCompressedRun:
         m, d = topk.devices, topk.dimension
         assert [rm.bytes_up for rm in run(topk)[1:]] == [12 * 3 * m] * 4
         assert [rm.bytes_up for rm in run(l1)[1:]] == [m * (8 + math.ceil(d / 8))] * 4
+
+        # random-k sends values only, at the positions of the round's shared keep
+        # mask; a Byzantine message too, at its own device's positions
+        masks, sets, decoded = [], [], []
+        originals = compression.keep_mask, adversary.corrupt, aggregation.aggregate
+
+        def drawing(spec, shape, rng):
+            masks.append(originals[0](spec, shape, rng))
+            return masks[-1]
+
+        def corrupting(attack, uploads, byz, rng):
+            sets.append(sorted(byz))
+            return originals[1](attack, uploads, byz, rng)
+
+        def aggregating(spec, vectors):
+            decoded.append(vectors.copy())
+            return originals[2](spec, vectors)
+
+        monkeypatch.setattr(compression, "keep_mask", drawing)
+        monkeypatch.setattr(adversary, "corrupt", corrupting)
+        monkeypatch.setattr(aggregation, "aggregate", aggregating)
+        randk = tiny_config(**base, **{"compressor.kind": "randk", "compressor.p": 0.5})
+        assert [rm.bytes_up for rm in run(randk)[1:]] == [8 * int(mask.sum()) for mask in masks]
+        assert len(masks) == len(sets) == len(decoded) == 4
+        for mask, byz, vectors in zip(masks, sets, decoded):
+            assert byz and 0 < mask[byz].sum() < mask[byz].size
+            assert not vectors[byz][~mask[byz]].any()
 
     @pytest.mark.parametrize("kind", ["randk", "topk", "l1", "identity"])
     def test_nominal_bytes_calls_add_up_to_total_bytes(self, monkeypatch, tmp_path, kind):
@@ -493,11 +521,11 @@ class TestCompressedRun:
         assert sum(priced) == summary.total_bytes > 0
 
     def test_one_codec_stream_per_round(self, monkeypatch):
-        from heavyfed import compression
+        from heavyfed import adversary, compression
 
         calls = []  # (rows, generator) of every keep mask drawn
-        drawn, coded = [], []  # the masks drawn, and the ones encode was handed
-        original_mask, original_encode = compression.keep_mask, compression.encode
+        drawn, coded, sets = [], [], []  # the masks drawn, the ones encode was handed, the Byzantine sets
+        original_mask, original_encode, original_corrupt = compression.keep_mask, compression.encode, adversary.corrupt
 
         def drawing(spec, shape, rng):
             calls.append((shape[0], rng))
@@ -508,8 +536,13 @@ class TestCompressedRun:
             coded.append(mask)
             return original_encode(spec, uploads, mask)
 
+        def corrupting(attack, uploads, byz, rng):
+            sets.append(sorted(byz))
+            return original_corrupt(attack, uploads, byz, rng)
+
         monkeypatch.setattr(compression, "keep_mask", drawing)
         monkeypatch.setattr(compression, "encode", recording)
+        monkeypatch.setattr(adversary, "corrupt", corrupting)
         run(tiny_config(**{
             "experiment.algorithm": "robust_compressed",
             "experiment.rounds": 3,
@@ -518,15 +551,14 @@ class TestCompressedRun:
             "attack.kind": "sign_flip",
             "attack.alpha": 0.2,
         }))
-        # each round: every device's keep mask, then the Byzantine re-encode, one generator
-        assert [rows for rows, _ in calls] == [5, 1] * 3
-        rngs = [rng for _, rng in calls]
-        assert all(rngs[i] is rngs[i + 1] for i in (0, 2, 4))
-        assert len({id(rng) for rng in rngs[::2]}) == 3
+        # each round draws every device's keep mask once, from its own generator
+        assert [rows for rows, _ in calls] == [5] * 3
+        assert len({id(rng) for _, rng in calls}) == 3
         # the codec draws nothing: the honest uploads are coded with the round's
-        # first mask, the Byzantine re-encode with its second
-        assert len(coded) == len(drawn) == 6
-        assert all(used is mask for used, mask in zip(coded, drawn))
+        # mask, the Byzantine re-encode with its own device's rows of that mask
+        assert len(coded) == 2 * len(drawn) == 2 * len(sets) == 6
+        assert all(used is mask for used, mask in zip(coded[::2], drawn))
+        assert all(np.array_equal(used, mask[byz]) for used, mask, byz in zip(coded[1::2], drawn, sets))
 
     @pytest.mark.parametrize("kind", ["randk", "topk", "l1", "identity"])
     def test_estimator_kernel_sees_only_the_kept_entries(self, monkeypatch, kind):

@@ -76,9 +76,9 @@ GOLDEN = {
     "baseline-mkrum": "dcac7469a2bd9d24fe5ac4f00ff4f4692c69fc5ce6b44dc2d6ba85b364c1e03f",
     "compressed-identity": "e5f1c2abdfd079c6f1b44ba0921851c102280c541cbd377779d36b454afb9ec4",
     "compressed-l1": "a1cf9cd53be1634fcbb71783ee452aabfe7df44e468b6f16476ee8bf41ea067f",
-    "compressed-randk": "e6da3470224e509ffbe4e72c949d47b144d94ade64a2c599315570e51a232f45",
-    "compressed-randk-gaussian": "a2bc0ee4bcd1866551d432feb69dbe1555db28fd7bcc9a4e59173a861cfaf8d3",
-    "compressed-randk-logistic": "ab311b84eb6cb6c0371ecc7fd372a6819e4f27cdcce9a511e9ed7b1e8da1dfd0",
+    "compressed-randk": "b39f843783fc82c29813059b480ac756deb9726c57be61ae188f905b2d8e4eab",
+    "compressed-randk-gaussian": "e2b6e93d8565e669cb8d0200538bd808e9eaa59676c3c9b880a8889543e37fa7",
+    "compressed-randk-logistic": "af910c49e30bdfdabe24f03fe7446df8db759f840d7651fa86af8e069f761e08",
     "compressed-topk": "348917e47da5666734f4cef7f045ab6dbcf6a559c05047775761dabc38702082",
     "robust": "3cbf0b32ab98200fda4ef8b9fcdfec716a34f572f0d8fb6b1795f7f9e274416f",
     "robust-attack-free": "ac565a7c954d3b01da4174bafcfc9a59cf73fd5aa65ddda59493e5c2cca05acd",
