@@ -9,8 +9,8 @@ rule from the config.  The local stage evaluates every device in one
 batched call over the stacked ``(m, n, p)`` shards, and the codec encodes
 the whole array in one call.  ``run`` builds every generator a stage draws
 from; the codec and the adversary draw from nothing else.  Random-k's keep
-mask comes from one stream per round, which the server repeats: uploads,
-Byzantine ones too, carry values only, at their own device's positions.  The
+mask comes from one stream per round, which the server repeats: a random-k
+upload, Byzantine or not, carries values only, at its device's positions.  The
 round's Byzantine set, from the adversary's own stream, is drawn before the
 local stage too, so the robust estimator evaluates only the ``(device,
 coordinate)`` entries the server reads: those the codec keeps, in the rows
